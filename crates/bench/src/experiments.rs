@@ -620,7 +620,7 @@ pub fn table6(seed: u64) -> Vec<Table> {
 /// *expected* latency (`N_//(E_J)`); the true infrastructure load is
 /// `E[N_//(J)]`. This ablation quantifies the gap by executing the delayed
 /// protocol on the discrete-event grid at each ratio's optimum — all ratios
-/// batched through one [`ScenarioSweep`] pass.
+/// batched through one [`ScenarioSweep`](gridstrat_core::executor::ScenarioSweep) pass.
 pub fn npar_ablation(seed: u64) -> Vec<Table> {
     use gridstrat_core::executor::{MonteCarloConfig, ScenarioSweep};
 
@@ -679,7 +679,7 @@ pub fn npar_ablation(seed: u64) -> Vec<Table> {
 }
 
 /// Extension (not in the paper): a (strategy × week × grid-condition)
-/// sweep through the batched [`ScenarioSweep`] runner — the scenario-
+/// sweep through the batched [`ScenarioSweep`](gridstrat_core::executor::ScenarioSweep) runner — the scenario-
 /// diversity experiment the workload-mining literature runs routinely.
 /// Strategies are tuned once on 2006-IX, then evaluated across weeks under
 /// a nominal grid, a grid with doubled fault rate, and a 25%-slower grid.

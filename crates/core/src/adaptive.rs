@@ -8,18 +8,16 @@
 //!
 //! * [`run_fixed_sequence`] / [`run_adaptive_sequence`] — a **task
 //!   sequence harness**: one engine runs many tasks back to back, so the
-//!   simulation clock sweeps across the grid's
-//!   [`Modulation`](gridstrat_sim::Modulation) (diurnal cycles, regime
-//!   shifts) and each task experiences the instantaneous law of its launch
-//!   time. Tasks are isolated through the engine's client-scope hooks
-//!   (owner-tagged jobs, namespaced timers), so a stale echo of a finished
+//!   simulation clock sweeps across the grid's [`Modulation`] (diurnal
+//!   cycles, regime shifts) and each task experiences the instantaneous law
+//!   of its launch time. Each task runs under its own engine [`Owner`]
+//!   epoch, stamped on its jobs and timers, so a stale echo of a finished
 //!   task can never corrupt the next task's protocol state.
 //! * [`AdaptiveStrategy`] — wraps any [`Strategy`]: between tasks it feeds
 //!   its *own* per-job observations (exact latencies of started jobs,
-//!   right-censored waits of abandoned ones) into a
-//!   [`StreamingEcdf`](gridstrat_stats::StreamingEcdf) and re-tunes the
-//!   wrapped strategy's free parameters every `retune_every` tasks,
-//!   according to a [`RetunePolicy`].
+//!   right-censored waits of abandoned ones) into a [`StreamingEcdf`] and
+//!   re-tunes the wrapped strategy's free parameters every `retune_every`
+//!   tasks, according to a [`RetunePolicy`].
 //! * [`RegretFrontier`] — the per-instant omniscient benchmark: at each
 //!   task's launch time the frozen modulated law is known analytically, so
 //!   the optimum `E*_J` an oracle-tuned strategy of the same family would
@@ -37,7 +35,7 @@
 use crate::cost::StrategyParams;
 use crate::latency::{LatencyModel, ParametricModel};
 use crate::strategy::Strategy;
-use gridstrat_sim::{Controller, GridConfig, GridSimulation, Modulation, Notification};
+use gridstrat_sim::{Controller, GridConfig, GridSimulation, Modulation, Notification, Owner};
 use gridstrat_stats::rng::derive_seed;
 use gridstrat_stats::StreamingEcdf;
 use gridstrat_workload::{DiurnalModel, WeekModel};
@@ -507,12 +505,11 @@ impl SequenceOutcome {
     }
 }
 
-/// Filters engine notifications down to one task's scope, unwrapping
-/// namespaced timer tokens — the single-user analogue of the fleet's
-/// owner routing.
+/// Filters engine notifications down to one task's owner — the
+/// single-user analogue of the fleet's owner routing.
 struct ScopedTask<'a> {
     inner: &'a mut dyn crate::executor::StrategyController,
-    scope: u64,
+    owner: Owner,
 }
 
 impl Controller for ScopedTask<'_> {
@@ -521,26 +518,16 @@ impl Controller for ScopedTask<'_> {
     }
 
     fn on_event(&mut self, sim: &mut GridSimulation, ev: Notification) {
-        let ev = match ev {
-            Notification::Timer { token, at } => {
-                if token >> 32 != self.scope {
-                    return; // stale timer of a previous task
-                }
-                Notification::Timer {
-                    token: token & u32::MAX as u64,
-                    at,
-                }
-            }
+        let owner = match ev {
+            Notification::Timer { owner, .. } => owner,
             Notification::JobStarted { id, .. }
             | Notification::JobFinished { id, .. }
-            | Notification::JobFailed { id, .. } => {
-                if sim.job(id).owner != self.scope {
-                    return; // echo of a previous task's job
-                }
-                ev
-            }
+            | Notification::JobFailed { id, .. } => sim.job(id).owner,
         };
-        self.inner.on_event(sim, ev);
+        // a stale timer or job echo of a previous task is dropped
+        if owner.epoch == self.owner.epoch {
+            self.inner.on_event(sim, ev);
+        }
     }
 
     fn done(&self) -> bool {
@@ -570,8 +557,8 @@ fn run_sequence(
 ) -> SequenceOutcome {
     assert!(n_tasks > 0, "a sequence needs at least one task");
     assert!(
-        (n_tasks as u64) < u32::MAX as u64,
-        "task scopes must fit in 32 bits"
+        u32::try_from(n_tasks).is_ok(),
+        "task epochs must fit in u32"
     );
     let mut sim = GridSimulation::new(Arc::clone(grid), seed)
         .expect("sequence grid configs are always valid");
@@ -581,17 +568,19 @@ fn run_sequence(
     let mut retunes = 0usize;
 
     for task in 0..n_tasks {
-        let scope = task as u64 + 1;
+        let owner = Owner {
+            user: 0,
+            epoch: task as u32,
+        };
         let launched_at = sim.now().as_secs();
         let job_floor = sim.jobs().len();
         ctrl.reset();
-        sim.set_scope(scope);
+        sim.set_owner(owner);
         let mut scoped = ScopedTask {
             inner: ctrl.as_mut(),
-            scope,
+            owner,
         };
         sim.run_controller(&mut scoped);
-        sim.set_scope(0);
         let Some(j_abs) = ctrl.total_latency() else {
             break; // horizon reached mid-task
         };
@@ -609,7 +598,7 @@ fn run_sequence(
         // (index loop: cancelling one job never flips another's state)
         for idx in job_floor..sim.jobs().len() {
             let rec = &sim.jobs()[idx];
-            if rec.owner == scope && !rec.state.is_terminal() && rec.started_at.is_none() {
+            if rec.is_client_of(owner) && !rec.state.is_terminal() && rec.started_at.is_none() {
                 let id = rec.id;
                 sim.cancel(id);
             }
@@ -624,7 +613,7 @@ fn run_sequence(
             let now = sim.now().as_secs();
             let t_inf = timeout_of(params);
             for rec in &sim.jobs()[job_floor..] {
-                if rec.owner != scope {
+                if !rec.is_client_of(owner) {
                     continue;
                 }
                 match rec.started_at {

@@ -560,7 +560,7 @@ impl SingleCtrl {
 impl Controller for SingleCtrl {
     fn start(&mut self, sim: &mut GridSimulation) {
         let id = sim.submit();
-        sim.set_timer(self.t_inf, id.0);
+        sim.set_timer(self.t_inf, id.token());
         self.current = Some(id);
     }
 
@@ -570,11 +570,11 @@ impl Controller for SingleCtrl {
                 self.j = Some(at.as_secs());
             }
             Notification::Timer { token, .. }
-                if self.j.is_none() && self.current == Some(JobId(token)) =>
+                if self.j.is_none() && self.current == Some(JobId(token.into())) =>
             {
-                sim.cancel(JobId(token));
+                sim.cancel(JobId(token.into()));
                 let id = sim.submit();
-                sim.set_timer(self.t_inf, id.0);
+                sim.set_timer(self.t_inf, id.token());
                 self.current = Some(id);
             }
             _ => {}
@@ -603,7 +603,7 @@ impl StrategyController for SingleCtrl {
 pub(crate) struct MultipleCtrl {
     b: u32,
     t_inf: SimDuration,
-    round: u64,
+    round: u32,
     jobs: Vec<JobId>,
     j: Option<f64>,
 }
@@ -689,11 +689,11 @@ pub(crate) struct DelayedCtrl {
 
 /// Timer-token encoding for the delayed controller: even = “submit the next
 /// echelon”, odd = “cancel job (token-1)/2”.
-fn submit_token(echelon: u64) -> u64 {
-    2 * echelon
+fn submit_token(echelon: u64) -> u32 {
+    u32::try_from(2 * echelon).expect("echelon count exceeds the u32 timer-token range")
 }
-fn cancel_token(id: JobId) -> u64 {
-    2 * id.0 + 1
+fn cancel_token(id: JobId) -> u32 {
+    u32::try_from(2 * id.0 + 1).expect("job id exceeds the u32 timer-token range")
 }
 
 impl DelayedCtrl {
@@ -743,6 +743,7 @@ impl Controller for DelayedCtrl {
                 }
             }
             Notification::Timer { token, .. } => {
+                let token = u64::from(token);
                 if token % 2 == 1 {
                     sim.cancel(JobId((token - 1) / 2));
                 } else {

@@ -5,6 +5,7 @@ use gridstrat_core::adaptive::AdaptiveConfig;
 use gridstrat_core::cost::StrategyParams;
 use gridstrat_core::executor::StrategyController;
 use gridstrat_core::strategy::Strategy;
+use gridstrat_sim::Owner;
 use gridstrat_stats::rng::derive_seed;
 use gridstrat_stats::{StreamingEcdf, Summary};
 use rand::rngs::StdRng;
@@ -101,9 +102,10 @@ pub(crate) struct UserAgent {
     pub(crate) params: StrategyParams,
     pub(crate) ctrl: Box<dyn StrategyController>,
     pub(crate) rng: StdRng,
-    /// Task index currently (or last) in flight; doubles as the timer/job
-    /// epoch so events from finished tasks can never be misrouted.
-    pub(crate) epoch: u64,
+    /// Engine owner of the task currently (or last) in flight: the user's
+    /// index, and the task index as epoch so events from finished tasks
+    /// can never be misrouted.
+    pub(crate) owner: Owner,
     pub(crate) active: bool,
     pub(crate) tasks_done: usize,
     pub(crate) task_started_s: f64,
@@ -134,13 +136,24 @@ impl UserAgent {
             params: assignment.strategy,
             ctrl: assignment.strategy.build_controller(),
             rng: StdRng::seed_from_u64(user_stream_seed(fleet_seed, index)),
-            epoch: 0,
+            owner: Owner {
+                user: u32::try_from(index).expect("user index exceeds u32"),
+                epoch: 0,
+            },
             active: false,
             tasks_done: 0,
             task_started_s: 0.0,
             task_job_floor: 0,
             latency: Summary::new(),
             estimator,
+        }
+    }
+
+    /// The engine owner of this user's next task.
+    pub(crate) fn next_owner(&self) -> Owner {
+        Owner {
+            epoch: u32::try_from(self.tasks_done).expect("task epoch exceeds u32"),
+            ..self.owner
         }
     }
 
@@ -157,7 +170,7 @@ impl UserAgent {
             self.ctrl.reset();
         }
         self.rng = StdRng::seed_from_u64(user_stream_seed(fleet_seed, index));
-        self.epoch = 0;
+        self.owner.epoch = 0;
         self.active = false;
         self.tasks_done = 0;
         self.task_started_s = 0.0;

@@ -4,46 +4,25 @@
 //! Every agent wraps an ordinary strategy-built
 //! [`StrategyController`](gridstrat_core::executor::StrategyController) —
 //! the *same* controllers the single-user Monte-Carlo executors run — and
-//! the fleet routes engine notifications to the right agent using the
-//! engine's client-scope hooks:
+//! the fleet routes engine notifications to the right agent by the
+//! [`Owner`](gridstrat_sim::Owner) the engine stamps on every job and
+//! timer. The fleet sets `Owner { user, epoch: task index }` before it
+//! lets an agent act, so:
 //!
-//! * job events are routed by the `owner` tag the engine stamped on the
-//!   job at submission time;
-//! * timer tokens are namespaced by the engine under the scope that was
-//!   active when the timer was armed, so two users' (or two tasks')
-//!   identical raw tokens can never collide;
-//! * the scope encodes `(user, task-epoch)`, so a stale timer or a
-//!   redundant copy surviving from an already-completed task is silently
-//!   dropped instead of corrupting the next task's protocol state.
+//! * job events go to `owner.user`, and timers do too, however many users
+//!   arm the same raw token;
+//! * a stale timer or a redundant copy surviving from an already-completed
+//!   task carries an old epoch and is silently dropped instead of
+//!   corrupting the next task's protocol state;
+//! * a user's task-arrival timer is armed under the owner of the task it
+//!   launches. While the user is idle no other timer of that epoch exists,
+//!   so an idle user's timer of its next epoch is its arrival.
 
 use crate::agent::{ArrivalProcess, Assignment, UserAgent};
 use crate::metrics::{FleetRun, GroupStream, UserOutcome};
-use crate::mix::MAX_USERS;
 use gridstrat_core::cost::StrategyParams;
 use gridstrat_core::strategy::Strategy;
 use gridstrat_sim::{Controller, GridSimulation, JobId, Notification, SimDuration};
-
-/// Scope bit layout: `(user + 1) << 16 | epoch` — 16 bits of task epoch,
-/// 16 bits of (1-based) user index, all within the engine's 32-bit scope.
-const EPOCH_BITS: u32 = 16;
-const EPOCH_MASK: u64 = (1 << EPOCH_BITS) - 1;
-/// Reserved scope for the fleet's own task-arrival timers.
-const ARRIVAL_SCOPE: u64 = u32::MAX as u64;
-
-/// Encodes a `(user, epoch)` pair into an engine client scope.
-fn user_scope(user: usize, epoch: u64) -> u64 {
-    ((user as u64 + 1) << EPOCH_BITS) | (epoch & EPOCH_MASK)
-}
-
-/// Decodes an engine client scope back into `(user, epoch)`. Returns
-/// `None` for the unscoped value `0` and the reserved arrival scope.
-fn decode_user_scope(scope: u64) -> Option<(usize, u64)> {
-    if scope == 0 || scope == ARRIVAL_SCOPE {
-        return None;
-    }
-    let user = (scope >> EPOCH_BITS) as usize - 1;
-    Some((user, scope & EPOCH_MASK))
-}
 
 /// A community of users sharing one grid engine.
 ///
@@ -114,15 +93,6 @@ impl FleetController {
         group_window: usize,
     ) -> Self {
         assert!(!assignments.is_empty(), "a fleet needs at least one user");
-        assert!(
-            assignments.len() <= MAX_USERS,
-            "community size {} exceeds the {MAX_USERS}-user scope limit",
-            assignments.len()
-        );
-        assert!(
-            tasks_per_user as u64 <= EPOCH_MASK,
-            "tasks_per_user must fit in the 16-bit epoch field"
-        );
         assert!(group_window > 0, "group window must be positive");
         let n_groups = assignments.iter().map(|a| a.group + 1).max().unwrap_or(0);
         let mut groups: Vec<Option<GroupStream>> = vec![None; n_groups];
@@ -174,44 +144,41 @@ impl FleetController {
         self.agents.iter().map(|a| a.tasks_done).sum()
     }
 
+    /// Arms the timer that launches user `user`'s next task; its owner
+    /// alone identifies it, so the token is unused.
     fn arm_arrival(&mut self, sim: &mut GridSimulation, user: usize, delay_s: f64) {
-        sim.set_scope(ARRIVAL_SCOPE);
-        sim.set_timer(SimDuration::from_secs(delay_s), user as u64);
-        sim.set_scope(0);
+        sim.set_owner(self.agents[user].next_owner());
+        sim.set_timer(SimDuration::from_secs(delay_s), 0);
     }
 
     /// Launches user `user`'s next task: rewinds the wrapped controller
-    /// and lets it open its protocol under the task's `(user, epoch)`
-    /// scope with the task's execution time as the default.
+    /// and lets it open its protocol under the task's owner with the
+    /// task's execution time as the default.
     fn launch(&mut self, sim: &mut GridSimulation, user: usize) {
         let exec = self.exec;
         let agent = &mut self.agents[user];
         debug_assert!(!agent.active, "launch while a task is in flight");
-        agent.epoch = agent.tasks_done as u64;
+        agent.owner = agent.next_owner();
         agent.active = true;
         agent.task_started_s = sim.now().as_secs();
         agent.task_job_floor = sim.jobs().len();
         agent.ctrl.reset();
-        sim.set_scope(user_scope(user, agent.epoch));
+        sim.set_owner(agent.owner);
         sim.set_default_exec(exec);
         agent.ctrl.start(sim);
         sim.set_default_exec(SimDuration::ZERO);
-        sim.set_scope(0);
     }
 
-    /// Routes one notification to the owning agent (if it is still about
-    /// the agent's *current* task) and handles task completion.
-    fn deliver(&mut self, sim: &mut GridSimulation, user: usize, epoch: u64, ev: Notification) {
+    /// Hands one notification about user `user`'s current task to its
+    /// agent and handles task completion.
+    fn deliver(&mut self, sim: &mut GridSimulation, user: usize, ev: Notification) {
         let exec = self.exec;
         let agent = &mut self.agents[user];
-        if !agent.active || agent.epoch != epoch {
-            return; // stale: an echo from an already-completed task
-        }
-        sim.set_scope(user_scope(user, epoch));
+        let owner = agent.owner;
+        sim.set_owner(owner);
         sim.set_default_exec(exec);
         agent.ctrl.on_event(sim, ev);
         sim.set_default_exec(SimDuration::ZERO);
-        sim.set_scope(0);
         let Some(j_abs) = agent.ctrl.total_latency() else {
             return;
         };
@@ -237,12 +204,9 @@ impl FleetController {
         // re-tune every `retune_every` completed tasks
         if let (Some(cfg), Some(est)) = (agent.assignment.adaptive, agent.estimator.as_mut()) {
             let now = sim.now().as_secs();
-            let scope = user_scope(user, epoch);
             let t_inf = gridstrat_core::adaptive::timeout_of(agent.params);
             for rec in &sim.jobs()[agent.task_job_floor..] {
-                if rec.owner != scope
-                    || !matches!(rec.origin, gridstrat_sim::job::JobOrigin::Client)
-                {
+                if !rec.is_client_of(owner) {
                     continue;
                 }
                 match rec.started_at {
@@ -348,24 +312,23 @@ impl Controller for FleetController {
     }
 
     fn on_event(&mut self, sim: &mut GridSimulation, ev: Notification) {
-        match ev {
-            Notification::Timer { token, at } => {
-                let scope = token >> 32;
-                let inner = token & u32::MAX as u64;
-                if scope == ARRIVAL_SCOPE {
-                    self.launch(sim, inner as usize);
-                } else if let Some((user, epoch)) = decode_user_scope(scope) {
-                    self.deliver(sim, user, epoch, Notification::Timer { token: inner, at });
-                }
-            }
+        let owner = match ev {
+            Notification::Timer { owner, .. } => owner,
             Notification::JobStarted { id, .. }
             | Notification::JobFinished { id, .. }
-            | Notification::JobFailed { id, .. } => {
-                if let Some((user, epoch)) = decode_user_scope(sim.job(id).owner) {
-                    self.deliver(sim, user, epoch, ev);
-                }
+            | Notification::JobFailed { id, .. } => sim.job(id).owner,
+        };
+        let user = owner.user as usize;
+        let agent = &self.agents[user];
+        if agent.active {
+            if owner == agent.owner {
+                self.deliver(sim, user, ev);
             }
+        } else if owner == agent.next_owner() {
+            // nothing of an idle user's next task exists but its arrival
+            self.launch(sim, user);
         }
+        // anything else is stale: an echo from an already-completed task
     }
 
     fn done(&self) -> bool {
@@ -430,20 +393,5 @@ mod tests {
             assert!(fleet.done());
             assert_eq!(fleet.tasks_completed(), 8 * 3);
         }
-    }
-
-    #[test]
-    fn scope_roundtrip() {
-        for user in [0usize, 1, 41, 59_999] {
-            for epoch in [0u64, 1, 255, 65_535] {
-                let s = user_scope(user, epoch);
-                assert!(s <= u32::MAX as u64, "scope overflows 32 bits");
-                assert_ne!(s, 0);
-                assert_ne!(s, ARRIVAL_SCOPE);
-                assert_eq!(decode_user_scope(s), Some((user, epoch)));
-            }
-        }
-        assert_eq!(decode_user_scope(0), None);
-        assert_eq!(decode_user_scope(ARRIVAL_SCOPE), None);
     }
 }

@@ -24,7 +24,7 @@
 
 use crate::agent::Assignment;
 use crate::mix::FleetConfig;
-use crate::sweep::run_population;
+use crate::sweep::FleetWorker;
 use gridstrat_core::cost::StrategyParams;
 use gridstrat_core::executor::GridScenario;
 use gridstrat_sim::GridConfig;
@@ -224,7 +224,7 @@ impl BestResponseSearch {
                         adaptive: None,
                     });
                 }
-                run_population(&self.fleet, grid, scratch, rep_seed)
+                FleetWorker::build(grid, scratch, &self.fleet, rep_seed).run()
             })
             .collect();
 

@@ -16,17 +16,19 @@
 //!   per user (built through
 //!   [`Strategy::build_controller`](gridstrat_core::strategy::Strategy::build_controller),
 //!   so every strategy family works unmodified) and routes engine events
-//!   by owner tag and scope-namespaced timer tokens;
+//!   by the [`Owner`](gridstrat_sim::Owner) (user, task epoch) the engine
+//!   stamps on every job and timer;
 //! * [`StrategyMix`] / [`FleetConfig`] — heterogeneous populations:
 //!   fractions of single / multiple / delayed users with their own
 //!   parameters, community size, tasks per user, task execution time and
 //!   per-user arrival processes;
 //! * [`FleetSweep`] — (mix × community-size × scenario) grids evaluated
 //!   in one parallel pass, bit-identical for any thread count;
-//! * [`ShardedFleet`] — communities beyond one engine's reach (100k+
-//!   users) partitioned across independent engine shards coupled by
-//!   per-epoch background-load exchange, with bounded-memory streaming
-//!   metrics (`O(users + groups)`, never per-task vectors);
+//! * [`ShardedFleet`] — a community partitioned across independent
+//!   engine shards coupled by per-epoch background-load exchange, with
+//!   bounded-memory streaming metrics (`O(users + groups)`, never per-task
+//!   vectors). One engine holds any community size; sharding is a
+//!   parallelism and coupling choice;
 //! * [`metrics`] — ecosystem metrics: per-strategy latency ECDFs, the
 //!   Jain fairness index, the redundant-slot-waste fraction and farm
 //!   utilisation;
@@ -66,6 +68,6 @@ pub use agent::{user_stream_seed, ArrivalProcess, Assignment};
 pub use controller::FleetController;
 pub use equilibrium::{BestResponseSearch, BestResponseStep, EquilibriumReport};
 pub use metrics::{jain_index, FleetCellOutcome, FleetRun, GroupReport, GroupStream, UserOutcome};
-pub use mix::{apportion, FleetConfig, StrategyGroup, StrategyMix, MAX_USERS};
+pub use mix::{apportion, FleetConfig, StrategyGroup, StrategyMix};
 pub use shard::{shard_seed, ShardedFleet};
 pub use sweep::{run_cell, FleetSweep, FLEET_STREAM};

@@ -7,12 +7,6 @@ use gridstrat_core::cost::StrategyParams;
 use gridstrat_core::strategy::DelayedResubmission;
 use gridstrat_sim::{GridConfig, SiteConfig};
 
-/// Maximum community size one fleet engine supports (bounded by the
-/// 16-bit user field of the scope encoding in [`crate::controller`]).
-/// Larger communities are partitioned across engine shards — see
-/// [`crate::ShardedFleet`].
-pub const MAX_USERS: usize = 60_000;
-
 /// Largest-remainder apportionment of `total` indivisible seats across
 /// non-negative `weights` (which need not be normalised but must have a
 /// positive, finite sum). Deterministic: remainder ties are broken by

@@ -2,11 +2,10 @@
 //! independent engine shards, coupled through per-epoch background-load
 //! exchange.
 //!
-//! A single [`FleetController`] engine tops out at
-//! [`MAX_USERS`](crate::mix::MAX_USERS) users (the 16-bit user field of
-//! the scope encoding) and, more practically, at whatever one
-//! discrete-event loop can chew through. [`ShardedFleet`] scales past
-//! both by splitting the community and the farm:
+//! One [`FleetController`] engine holds a community of any size, but it is
+//! one single-threaded discrete-event loop. Sharding is therefore a
+//! parallelism and coupling choice, not a capacity one: [`ShardedFleet`]
+//! splits the community and the farm:
 //!
 //! * **users** are apportioned evenly across shards (largest remainder,
 //!   [`apportion`]); each shard instantiates its own slice of the
@@ -33,14 +32,15 @@
 //!   across per-worker engine reuse: shards within a replication run
 //!   sequentially in shard order; rayon parallelism stays at the
 //!   replication level with index-derived seeds.
+//!
+//! [`FleetController`]: crate::FleetController
 
 use crate::agent::Assignment;
-use crate::controller::FleetController;
 use crate::metrics::{FleetCellOutcome, FleetRun};
-use crate::mix::{apportion, FleetConfig, StrategyMix, MAX_USERS};
-use crate::sweep::FLEET_STREAM;
+use crate::mix::{apportion, FleetConfig, StrategyMix};
+use crate::sweep::FleetWorker;
 use gridstrat_core::executor::GridScenario;
-use gridstrat_sim::{Controller, GridConfig, GridSimulation, SimDuration, SimTime};
+use gridstrat_sim::{Controller, GridConfig, SimDuration, SimTime};
 use gridstrat_stats::rng::derive_seed;
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -49,9 +49,10 @@ use std::sync::Arc;
 ///
 /// Shard 0 **continues the unsharded stream** (`shard_seed(r, 0) == r`),
 /// so a 1-shard community replays exactly the history the plain
-/// [`FleetController`] path produces; every further shard gets an
-/// independent `derive_seed` stream. Load-bearing layout — change only
-/// with a deliberate re-baselining of recorded sharded experiments.
+/// [`FleetController`](crate::FleetController) path produces; every
+/// further shard gets an independent `derive_seed` stream. Load-bearing
+/// layout — change only with a deliberate re-baselining of recorded
+/// sharded experiments.
 pub fn shard_seed(rep_seed: u64, shard: usize) -> u64 {
     if shard == 0 {
         rep_seed
@@ -91,9 +92,9 @@ struct ShardPlan {
     horizon_s: f64,
 }
 
-/// Reusable per-worker state: one engine + fleet pair per shard, rewound
-/// in place between replications.
-type ShardWorkers = Vec<(GridSimulation, FleetController)>;
+/// Reusable per-worker state: one [`FleetWorker`] per shard, seeded through
+/// [`shard_seed`] and rewound in place between replications.
+type ShardWorkers = Vec<FleetWorker>;
 
 impl ShardedFleet {
     /// Builds a sharded community with the default coupling (1-hour
@@ -130,15 +131,6 @@ impl ShardedFleet {
             return Err(format!(
                 "cannot spread {} users over {} shards",
                 self.users, self.shards
-            ));
-        }
-        let per_shard = self.users.div_ceil(self.shards);
-        if per_shard > MAX_USERS {
-            return Err(format!(
-                "{} users per shard exceeds the {MAX_USERS}-user engine limit; \
-                 use at least {} shards",
-                per_shard,
-                self.users.div_ceil(MAX_USERS)
             ));
         }
         let slots: usize = self.config.grid.sites.iter().map(|s| s.slots).sum();
@@ -266,57 +258,37 @@ impl ShardedFleet {
     fn build_workers(&self, plan: &ShardPlan, rep_seed: u64) -> ShardWorkers {
         (0..self.shards)
             .map(|k| {
-                let engine_seed = shard_seed(rep_seed, k);
-                let sim = GridSimulation::new(Arc::clone(&plan.grids[k]), engine_seed)
-                    .expect("sharded grids are validated at plan time");
-                let fleet = FleetController::new(
-                    &plan.assignments[k],
-                    self.config.tasks_per_user,
-                    self.config.task_exec_s,
-                    self.config.arrival,
-                    derive_seed(engine_seed, FLEET_STREAM),
-                    self.config.group_window,
-                );
-                (sim, fleet)
+                let seed = shard_seed(rep_seed, k);
+                FleetWorker::build(&plan.grids[k], &plan.assignments[k], &self.config, seed)
             })
             .collect()
-    }
-
-    fn rewind_workers(workers: &mut ShardWorkers, rep_seed: u64) {
-        for (k, (sim, fleet)) in workers.iter_mut().enumerate() {
-            let engine_seed = shard_seed(rep_seed, k);
-            sim.reset(engine_seed);
-            fleet.reset(derive_seed(engine_seed, FLEET_STREAM));
-        }
     }
 
     /// Drives one replication on prepared workers and merges the shard
     /// runs into one community-level [`FleetRun`].
     fn run_rep(&self, plan: &ShardPlan, workers: &mut ShardWorkers) -> FleetRun {
         if self.shards == 1 {
-            // same code path as FleetWorker / run_population: S = 1 is
-            // bit-identical to the plain FleetController by construction
-            let (sim, fleet) = &mut workers[0];
-            sim.run_controller(fleet);
-            return fleet.collect(sim);
+            // the sweep's own code path: S = 1 is bit-identical to the
+            // plain FleetController by construction
+            return workers[0].run();
         }
-        for (sim, fleet) in workers.iter_mut() {
-            sim.start_controller(fleet);
+        for w in workers.iter_mut() {
+            w.sim.start_controller(&mut w.fleet);
         }
         let exec = self.config.task_exec_s;
         let mut prev_started = vec![0u64; self.shards];
         let mut busy = vec![0.0f64; self.shards];
         let mut t_end = 0.0f64;
-        while workers.iter().any(|(_, f)| !f.done()) && t_end < plan.horizon_s {
+        while workers.iter().any(|w| !w.fleet.done()) && t_end < plan.horizon_s {
             t_end += self.epoch_s;
             let until = SimTime::from_secs(t_end);
-            for (k, (sim, fleet)) in workers.iter_mut().enumerate() {
-                if !fleet.done() {
-                    sim.step_controller_until(fleet, until);
+            for (k, w) in workers.iter_mut().enumerate() {
+                if !w.fleet.done() {
+                    w.sim.step_controller_until(&mut w.fleet, until);
                 }
                 // epoch busy-fraction estimate: starts this epoch × the
                 // community task length over the shard's capacity
-                let stats = sim.stats();
+                let stats = w.sim.stats();
                 let started = stats.client_started + stats.background_started;
                 busy[k] = ((started - prev_started[k]) as f64 * exec
                     / (plan.slots[k] as f64 * self.epoch_s))
@@ -324,8 +296,8 @@ impl ShardedFleet {
                 prev_started[k] = started;
             }
             if self.coupling > 0.0 && exec > 0.0 {
-                for (k, (sim, fleet)) in workers.iter_mut().enumerate() {
-                    if fleet.done() {
+                for (k, w) in workers.iter_mut().enumerate() {
+                    if w.fleet.done() {
                         continue;
                     }
                     // slot-weighted mean busy fraction of the *other* shards
@@ -346,13 +318,16 @@ impl ShardedFleet {
                     for i in 0..n {
                         // spread evenly over the next epoch
                         let at = t_end + (i as f64 + 0.5) * self.epoch_s / n as f64;
-                        sim.inject_background(SimTime::from_secs(at), SimDuration::from_secs(exec));
+                        w.sim.inject_background(
+                            SimTime::from_secs(at),
+                            SimDuration::from_secs(exec),
+                        );
                     }
                 }
             }
         }
         merge_shard_runs(
-            workers.iter().map(|(sim, fleet)| fleet.collect(sim)),
+            workers.iter().map(|w| w.fleet.collect(&w.sim)),
             self.config.tasks_per_user,
         )
     }
@@ -387,7 +362,11 @@ impl ShardedFleet {
                 move |slot, rep| {
                     let rep_seed = derive_seed(cell_seed, rep as u64);
                     match slot {
-                        Some(workers) => Self::rewind_workers(workers, rep_seed),
+                        Some(workers) => {
+                            for (k, w) in workers.iter_mut().enumerate() {
+                                w.rewind(shard_seed(rep_seed, k));
+                            }
+                        }
                         None => *slot = Some(self.build_workers(plan_ref, rep_seed)),
                     }
                     self.run_rep(plan_ref, slot.as_mut().expect("workers just installed"))
@@ -488,9 +467,11 @@ mod tests {
         more_shards_than_slots.shards = 5;
         more_shards_than_slots.users = 50;
         assert!(more_shards_than_slots.validate().is_err());
-        let mut too_many_users_per_shard = base.clone();
-        too_many_users_per_shard.users = 2 * MAX_USERS + 1;
-        assert!(too_many_users_per_shard.validate().is_err());
+        // no per-engine user cap: one shard holds 2 x 60 001 users
+        let mut one_big_shard = base.clone();
+        one_big_shard.shards = 1;
+        one_big_shard.users = 2 * 60_001;
+        assert!(one_big_shard.validate().is_ok());
         let mut bad_epoch = base.clone();
         bad_epoch.epoch_s = 0.0;
         assert!(bad_epoch.validate().is_err());

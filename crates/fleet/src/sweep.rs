@@ -25,35 +25,42 @@ use std::sync::Arc;
 /// golden-vector tests alongside [`crate::agent::user_stream_seed`].
 pub const FLEET_STREAM: u64 = 0xF1EE7;
 
-/// Reusable per-worker state: one engine and one fleet controller, both
-/// rewound in place between replications of the same cell.
-struct FleetWorker {
-    sim: GridSimulation,
-    fleet: FleetController,
+/// One engine and the fleet controller that drives it, seeded from one
+/// engine seed (`fleet_seed = derive_seed(engine_seed, FLEET_STREAM)`)
+/// and rewound in place between replications — the unit every sweep,
+/// shard and equilibrium run is made of.
+pub(crate) struct FleetWorker {
+    pub(crate) sim: GridSimulation,
+    pub(crate) fleet: FleetController,
 }
 
 impl FleetWorker {
-    fn build(plan: &CellPlan, cfg: &FleetConfig, rep_seed: u64) -> Self {
+    pub(crate) fn build(
+        grid: &Arc<GridConfig>,
+        assignments: &[Assignment],
+        cfg: &FleetConfig,
+        engine_seed: u64,
+    ) -> Self {
         FleetWorker {
-            sim: GridSimulation::new(Arc::clone(&plan.grid), rep_seed)
-                .expect("sweep grids are validated at plan time"),
+            sim: GridSimulation::new(Arc::clone(grid), engine_seed)
+                .expect("fleet grids are validated by FleetConfig"),
             fleet: FleetController::new(
-                &plan.assignments,
+                assignments,
                 cfg.tasks_per_user,
                 cfg.task_exec_s,
                 cfg.arrival,
-                derive_seed(rep_seed, FLEET_STREAM),
+                derive_seed(engine_seed, FLEET_STREAM),
                 cfg.group_window,
             ),
         }
     }
 
-    fn rewind(&mut self, rep_seed: u64) {
-        self.sim.reset(rep_seed);
-        self.fleet.reset(derive_seed(rep_seed, FLEET_STREAM));
+    pub(crate) fn rewind(&mut self, engine_seed: u64) {
+        self.sim.reset(engine_seed);
+        self.fleet.reset(derive_seed(engine_seed, FLEET_STREAM));
     }
 
-    fn run(&mut self) -> FleetRun {
+    pub(crate) fn run(&mut self) -> FleetRun {
         self.sim.run_controller(&mut self.fleet);
         self.fleet.collect(&self.sim)
     }
@@ -160,7 +167,11 @@ impl FleetSweep {
                     let rep_seed = derive_seed(plan.seed, (k % reps) as u64);
                     match slot {
                         Some((c, worker)) if *c == cell => worker.rewind(rep_seed),
-                        _ => *slot = Some((cell, FleetWorker::build(plan, cfg, rep_seed))),
+                        _ => {
+                            let worker =
+                                FleetWorker::build(&plan.grid, &plan.assignments, cfg, rep_seed);
+                            *slot = Some((cell, worker));
+                        }
                     }
                     let (_, worker) = slot.as_mut().expect("worker just installed");
                     worker.run()
@@ -199,26 +210,4 @@ pub fn run_cell(
     )
     .run()
     .remove(0)
-}
-
-/// Runs one community replication with an explicit per-user assignment —
-/// the primitive the equilibrium search builds deviation experiments from.
-pub(crate) fn run_population(
-    config: &FleetConfig,
-    grid: &Arc<GridConfig>,
-    assignments: &[Assignment],
-    rep_seed: u64,
-) -> FleetRun {
-    let mut sim = GridSimulation::new(Arc::clone(grid), rep_seed)
-        .expect("population grids are validated by FleetConfig");
-    let mut fleet = FleetController::new(
-        assignments,
-        config.tasks_per_user,
-        config.task_exec_s,
-        config.arrival,
-        derive_seed(rep_seed, FLEET_STREAM),
-        config.group_window,
-    );
-    sim.run_controller(&mut fleet);
-    fleet.collect(&sim)
 }

@@ -371,3 +371,31 @@ fn equilibrium_search_converges_and_is_deterministic() {
         assert!(step.deviation_latency.iter().all(|l| l.is_finite()));
     }
 }
+
+#[test]
+fn one_engine_holds_more_than_60_000_users() {
+    // the owner's user field is a u32: a community this size needs no shards
+    let mut cfg = FleetConfig::small_farm(2_000);
+    cfg.tasks_per_user = 1;
+    cfg.task_exec_s = 1.0;
+    cfg.replications = 1;
+    let users = 60_001;
+    let mix = StrategyMix::pure("all-single", StrategyParams::Single { t_inf: 3000.0 });
+    let out = gridstrat_fleet::run_cell(&cfg, &mix, users, &GridScenario::baseline());
+    assert_eq!(out.tasks_total, users);
+    assert_eq!(out.tasks_completed, out.tasks_total);
+}
+
+#[test]
+fn one_user_runs_more_than_65_535_tasks() {
+    // the owner's epoch field is a u32: task counts past 16 bits route fine
+    let mut cfg = FleetConfig::small_farm(1);
+    cfg.tasks_per_user = 65_540;
+    cfg.task_exec_s = 1.0;
+    cfg.replications = 1;
+    cfg.grid.horizon = gridstrat_sim::SimDuration::from_secs(1e9);
+    let mix = StrategyMix::pure("all-single", StrategyParams::Single { t_inf: 3000.0 });
+    let out = gridstrat_fleet::run_cell(&cfg, &mix, 1, &GridScenario::baseline());
+    assert_eq!(out.tasks_total, 65_540);
+    assert_eq!(out.tasks_completed, out.tasks_total);
+}

@@ -9,7 +9,7 @@
 
 use crate::config::{GridConfig, LatencyMode, RankingPolicy};
 use crate::event::{EventKind, EventQueue};
-use crate::job::{JobId, JobOrigin, JobRecord, JobState};
+use crate::job::{JobId, JobOrigin, JobRecord, JobState, Owner};
 use crate::modulation::{clamp_fault, MIN_INTENSITY};
 use crate::time::{SimDuration, SimTime};
 use gridstrat_stats::dist::{sample_standard_normal, Distribution, LogNormal};
@@ -44,8 +44,10 @@ pub enum Notification {
     },
     /// A timer set via [`GridSimulation::set_timer`] expired.
     Timer {
+        /// The engine's active owner when the timer was armed.
+        owner: Owner,
         /// The token passed at arming time.
-        token: u64,
+        token: u32,
         /// Expiry instant.
         at: SimTime,
     },
@@ -129,9 +131,8 @@ pub struct GridSimulation {
     rng: StdRng,
     notifications: VecDeque<Notification>,
     stats: EngineStats,
-    /// Active client scope: owner tag for submissions and namespace for
-    /// timer tokens. `0` = unscoped (single-owner legacy behaviour).
-    scope: u64,
+    /// Owner stamped on client submissions and timers.
+    owner: Owner,
     /// Execution time applied by [`GridSimulation::submit`] while set.
     default_exec: SimDuration,
 }
@@ -156,7 +157,7 @@ impl GridSimulation {
             rng: StdRng::seed_from_u64(seed),
             notifications: VecDeque::new(),
             stats: EngineStats::default(),
-            scope: 0,
+            owner: Owner::default(),
             default_exec: SimDuration::ZERO,
         };
         if sim.cfg.background.is_some() {
@@ -184,7 +185,7 @@ impl GridSimulation {
         self.rng = StdRng::seed_from_u64(seed);
         self.notifications.clear();
         self.stats = EngineStats::default();
-        self.scope = 0;
+        self.owner = Owner::default();
         self.default_exec = SimDuration::ZERO;
         if self.cfg.background.is_some() {
             self.schedule_next_background_arrival();
@@ -216,30 +217,15 @@ impl GridSimulation {
         self.stats
     }
 
-    /// Sets the active client **scope** — the multi-owner routing hook.
-    ///
-    /// While a non-zero scope is active:
-    ///
-    /// * every submitted client job carries the scope in its
-    ///   [`JobRecord::owner`] field, so a multiplexing controller can route
-    ///   job notifications back to the agent that submitted them;
-    /// * timer tokens are namespaced: [`GridSimulation::set_timer`] stores
-    ///   `scope << 32 | token` (the raw token must fit in 32 bits), and the
-    ///   resulting [`Notification::Timer`] carries the namespaced value —
-    ///   so independently-written controllers sharing one engine can never
-    ///   collide on timer tokens.
-    ///
-    /// Scope `0` restores the single-owner legacy behaviour (tokens pass
-    /// through untouched, owners are `0`). Scopes must fit in 32 bits.
-    /// [`GridSimulation::reset`] clears the scope.
-    pub fn set_scope(&mut self, scope: u64) {
-        assert!(scope <= u32::MAX as u64, "client scope must fit in 32 bits");
-        self.scope = scope;
-    }
-
-    /// The active client scope (`0` when unscoped).
-    pub fn scope(&self) -> u64 {
-        self.scope
+    /// Sets the active [`Owner`] — the multi-client routing hook. Every
+    /// client job submitted and every timer armed from now on carries it
+    /// ([`JobRecord::owner`], [`Notification::Timer`]), so a controller
+    /// that multiplexes many agents onto this engine routes each
+    /// notification back to the agent and task it belongs to, and two
+    /// agents' identical timer tokens never collide.
+    /// [`GridSimulation::reset`] restores `Owner::default()`.
+    pub fn set_owner(&mut self, owner: Owner) {
+        self.owner = owner;
     }
 
     /// Sets the execution time applied by [`GridSimulation::submit`].
@@ -269,7 +255,7 @@ impl GridSimulation {
     pub fn submit_with_exec(&mut self, exec: SimDuration) -> JobId {
         let id = JobId(self.jobs.len() as u64);
         let mut rec = JobRecord::new(id, JobOrigin::Client, self.now);
-        rec.owner = self.scope;
+        rec.owner = self.owner;
         self.jobs.push(rec);
         self.exec_times.push(exec);
         self.stats.client_submitted += 1;
@@ -332,23 +318,12 @@ impl GridSimulation {
         self.queue.schedule(at, EventKind::InjectedArrival { exec });
     }
 
-    /// Arms a timer; a [`Notification::Timer`] fires after `delay`.
-    ///
-    /// With scope `0` the notification carries `token` verbatim. Under an
-    /// active client scope (see [`GridSimulation::set_scope`]) the token is
-    /// namespaced to `scope << 32 | token` and must fit in 32 bits.
-    pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        let token = if self.scope == 0 {
-            token
-        } else {
-            assert!(
-                token <= u32::MAX as u64,
-                "timer tokens must fit in 32 bits while a client scope is active"
-            );
-            self.scope << 32 | token
-        };
+    /// Arms a timer; a [`Notification::Timer`] carrying `token` and the
+    /// active owner fires after `delay`.
+    pub fn set_timer(&mut self, delay: SimDuration, token: u32) {
+        let owner = self.owner;
         self.queue
-            .schedule(self.now.after(delay), EventKind::Timer { token });
+            .schedule(self.now.after(delay), EventKind::Timer { owner, token });
     }
 
     /// Runs the event loop, surfacing notifications to `ctrl`, until the
@@ -497,6 +472,11 @@ impl GridSimulation {
         }
     }
 
+    // Inlined into each event loop: the timer variant's owner makes
+    // `EventKind` an in-memory aggregate rather than a (tag, u64) register
+    // pair, and passing it across this call measured ~7 % of `megafleet`
+    // task throughput (2 vCPU).
+    #[inline(always)]
     fn handle(&mut self, kind: EventKind) {
         match kind {
             EventKind::ArriveAtWms(id) => self.on_arrive_at_wms(id),
@@ -508,8 +488,9 @@ impl GridSimulation {
             EventKind::CancelApply(id) => self.apply_cancel(id),
             EventKind::BackgroundArrival { site } => self.on_background_arrival(site),
             EventKind::InjectedArrival { exec } => self.on_injected_arrival(exec),
-            EventKind::Timer { token } => {
+            EventKind::Timer { owner, token } => {
                 self.notifications.push_back(Notification::Timer {
+                    owner,
                     token,
                     at: self.now,
                 });
@@ -899,7 +880,7 @@ mod tests {
         }
         fn next(&mut self, sim: &mut GridSimulation) {
             let id = sim.submit();
-            sim.set_timer(SimDuration::from_secs(11_000.0), id.0);
+            sim.set_timer(SimDuration::from_secs(11_000.0), id.token());
             self.current = Some(id);
             self.submitted += 1;
         }
@@ -919,9 +900,9 @@ mod tests {
                         self.current = None;
                     }
                 }
-                Notification::Timer { token, .. } if self.current == Some(JobId(token)) => {
+                Notification::Timer { token, .. } if self.current == Some(JobId(token.into())) => {
                     // stuck or failed: abandon it and move on
-                    sim.cancel(JobId(token));
+                    sim.cancel(JobId(token.into()));
                     if self.submitted < self.n {
                         self.next(sim);
                     } else {
@@ -1158,38 +1139,49 @@ mod tests {
     }
 
     #[test]
-    fn scope_tags_owners_and_namespaces_timers() {
-        struct TwoOwners {
-            tokens: Vec<u64>,
+    fn owners_tag_jobs_and_timers() {
+        let owners = [
+            Owner { user: 7, epoch: 0 },
+            Owner { user: 9, epoch: 4 },
+            Owner::default(),
+        ];
+        struct ThreeOwners {
+            owners: [Owner; 3],
+            timers: Vec<(Owner, u32)>,
         }
-        impl Controller for TwoOwners {
+        impl Controller for ThreeOwners {
             fn start(&mut self, sim: &mut GridSimulation) {
-                sim.set_scope(7);
-                sim.submit();
-                sim.set_timer(SimDuration::from_secs(1.0), 3);
-                sim.set_scope(9);
-                sim.submit();
-                sim.set_timer(SimDuration::from_secs(2.0), 3);
-                sim.set_scope(0);
-                sim.submit();
-                sim.set_timer(SimDuration::from_secs(3.0), 3);
+                for (k, owner) in self.owners.into_iter().enumerate() {
+                    sim.set_owner(owner);
+                    sim.submit();
+                    sim.set_timer(SimDuration::from_secs(k as f64 + 1.0), 3);
+                }
             }
             fn on_event(&mut self, _sim: &mut GridSimulation, ev: Notification) {
-                if let Notification::Timer { token, .. } = ev {
-                    self.tokens.push(token);
+                if let Notification::Timer { owner, token, .. } = ev {
+                    self.timers.push((owner, token));
                 }
             }
             fn done(&self) -> bool {
-                self.tokens.len() == 3
+                self.timers.len() == 3
             }
         }
         let mut sim = GridSimulation::new(GridConfig::oracle(oracle_model(0.0)), 12).unwrap();
-        let mut ctrl = TwoOwners { tokens: Vec::new() };
+        let mut ctrl = ThreeOwners {
+            owners,
+            timers: Vec::new(),
+        };
         sim.run_controller(&mut ctrl);
-        // same raw token, three distinct namespaced deliveries in arm order
-        assert_eq!(ctrl.tokens, vec![7 << 32 | 3, 9 << 32 | 3, 3]);
-        let owners: Vec<u64> = sim.jobs().iter().map(|r| r.owner).collect();
-        assert_eq!(owners, vec![7, 9, 0]);
+        // same raw token under three owners: three deliveries in arm
+        // order, each carrying its owner and the token untouched
+        assert_eq!(ctrl.timers, owners.map(|o| (o, 3)));
+        let job_owners: Vec<Owner> = sim.jobs().iter().map(|r| r.owner).collect();
+        assert_eq!(job_owners, owners);
+        // reset restores the default owner
+        sim.set_owner(owners[1]);
+        sim.reset(12);
+        let id = sim.submit();
+        assert_eq!(sim.job(id).owner, Owner::default());
     }
 
     #[test]
@@ -1225,19 +1217,9 @@ mod tests {
             "job held its slot {} s",
             held.as_secs()
         );
-        // reset clears both hooks
-        sim.set_scope(4);
+        // reset clears the hook
         sim.reset(13);
-        assert_eq!(sim.scope(), 0);
         assert_eq!(sim.default_exec(), SimDuration::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "32 bits")]
-    fn scoped_timer_rejects_wide_tokens() {
-        let mut sim = GridSimulation::new(GridConfig::oracle(oracle_model(0.0)), 14).unwrap();
-        sim.set_scope(1);
-        sim.set_timer(SimDuration::from_secs(1.0), 1 << 33);
     }
 
     #[test]

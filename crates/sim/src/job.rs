@@ -16,10 +16,34 @@ use crate::time::SimTime;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u64);
 
+impl JobId {
+    /// The id as a timer token (see
+    /// [`GridSimulation::set_timer`](crate::engine::GridSimulation::set_timer)).
+    /// Panics past `u32::MAX` jobs in one engine.
+    pub fn token(self) -> u32 {
+        u32::try_from(self.0).expect("job id exceeds the u32 timer-token range")
+    }
+}
+
 impl std::fmt::Display for JobId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "job#{}", self.0)
     }
+}
+
+/// The client that owns a job or a timer: a user and the epoch (task
+/// index) of that user's work. The engine stamps its active owner (see
+/// [`GridSimulation::set_owner`](crate::engine::GridSimulation::set_owner))
+/// on every client job and timer, so a layer that runs many clients on one
+/// engine routes each notification back to the agent and task it belongs
+/// to. `Owner::default()` owns background traffic and the work of
+/// single-client runs that never set an owner.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct Owner {
+    /// User index within the community.
+    pub user: u32,
+    /// Task epoch within that user's sequence.
+    pub epoch: u32,
 }
 
 /// Lifecycle state of a job.
@@ -82,12 +106,11 @@ pub struct JobRecord {
     pub id: JobId,
     /// Client or background.
     pub origin: JobOrigin,
-    /// Owner tag: the client scope that was active when the job was
-    /// submitted (see [`crate::engine::GridSimulation::set_scope`]).
-    /// `0` for unscoped submissions and background traffic. Multi-user
-    /// layers (the `gridstrat-fleet` crate) use this to route job
-    /// notifications back to the submitting agent.
-    pub owner: u64,
+    /// The engine's active owner when the job was submitted;
+    /// `Owner::default()` for background traffic. Multi-client layers
+    /// (the `gridstrat-fleet` crate, the adaptive task sequence) route job
+    /// notifications back to the submitting agent by it.
+    pub owner: Owner,
     /// Current state.
     pub state: JobState,
     /// Submission instant.
@@ -106,13 +129,19 @@ impl JobRecord {
         JobRecord {
             id,
             origin,
-            owner: 0,
+            owner: Owner::default(),
             state: JobState::Submitted,
             submitted_at,
             site: None,
             started_at: None,
             terminated_at: None,
         }
+    }
+
+    /// True for a client job submitted under `owner` (background jobs
+    /// carry the default owner but belong to no client).
+    pub fn is_client_of(&self, owner: Owner) -> bool {
+        self.origin == JobOrigin::Client && self.owner == owner
     }
 
     /// Grid latency (submission → start) in seconds, if the job started.

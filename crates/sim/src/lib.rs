@@ -30,20 +30,22 @@
 //!   the multi-user ecosystem experiments (e.g. every user adopting
 //!   multi-submission) the paper lists as future work — see the
 //!   `gridstrat-fleet` crate, which multiplexes whole user populations
-//!   onto one pipeline engine via the client-scope routing hooks
-//!   ([`GridSimulation::set_scope`](engine::GridSimulation::set_scope)).
+//!   onto one pipeline engine, routing by the [`Owner`] the engine stamps
+//!   on every client job and timer
+//!   ([`GridSimulation::set_owner`](engine::GridSimulation::set_owner)).
 //!
 //! ## Architecture
 //!
 //! * [`time`] — millisecond-resolution simulation clock;
 //! * [`event`] — deterministic event queue (time, sequence) ordered;
-//! * [`job`] — job state machine and per-job audit records;
+//! * [`job`] — job state machine, per-job audit records and the [`Owner`]
+//!   of client work;
 //! * [`config`] — grid topology, fault, background-load and latency-mode
 //!   configuration;
 //! * [`engine`] — the [`GridSimulation`] event loop and the [`Controller`]
 //!   trait through which client-side submission strategies drive it, plus
-//!   the multi-owner routing hooks (client scopes, owner-tagged jobs,
-//!   namespaced timers) that let many independent agents share one engine;
+//!   the owner routing hook (owner-stamped jobs and timers) that lets many
+//!   independent agents share one engine;
 //! * [`probe`] — the constant-probes-in-flight measurement harness of §3.2,
 //!   producing [`gridstrat_workload::TraceSet`]s.
 
@@ -60,7 +62,7 @@ pub mod time;
 
 pub use config::{BackgroundLoadConfig, FaultConfig, GridConfig, LatencyMode, SiteConfig};
 pub use engine::{Controller, EngineStats, GridSimulation, Notification};
-pub use job::{JobId, JobRecord, JobState};
+pub use job::{JobId, JobRecord, JobState, Owner};
 pub use modulation::{Modulation, MIN_INTENSITY};
 pub use probe::ProbeHarness;
 pub use time::{SimDuration, SimTime};

@@ -79,7 +79,7 @@ impl ProbeHarness {
         self.submitted += 1;
         self.active.insert(id);
         // censor timer; token = job id for direct correlation
-        sim.set_timer(self.threshold, id.0);
+        sim.set_timer(self.threshold, id.token());
     }
 
     fn record(&mut self, sim: &GridSimulation, id: JobId, latency_s: f64, status: ProbeStatus) {
@@ -118,7 +118,7 @@ impl Controller for ProbeHarness {
                 }
             }
             Notification::Timer { token, .. } => {
-                let id = JobId(token);
+                let id = JobId(token.into());
                 if self.active.remove(&id) {
                     sim.cancel(id);
                     self.record(sim, id, self.threshold.as_secs(), ProbeStatus::TimedOut);

@@ -105,7 +105,7 @@ pub struct Bencher {
 
 impl Bencher {
     /// Times `routine`: one sample is a batch of calls, doubled until the
-    /// batch takes at least [`MIN_BATCH`], reported per call.
+    /// batch takes at least `MIN_BATCH`, reported per call.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
         let mut calls = 1u32;
         loop {
