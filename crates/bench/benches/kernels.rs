@@ -7,13 +7,27 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use gridstrat_bench::{model_for, DEFAULT_SEED};
 use gridstrat_core::latency::{EmpiricalModel, LatencyModel};
 use gridstrat_core::strategy::{DelayedResubmission, MultipleSubmission, SingleResubmission};
-use gridstrat_stats::Ecdf;
+use gridstrat_stats::{Ecdf, StreamingEcdf};
 use gridstrat_workload::WeekId;
 
 fn trace_samples(n: usize) -> Vec<f64> {
     let model = WeekId::W2006Ix.model();
     let trace = model.generate(n, 7);
     trace.records.iter().map(|r| r.latency_s).collect()
+}
+
+/// A model of the shape a fleet agent retunes on: the snapshot of a window
+/// of `k` observations, latencies past a 1 000 s timeout censored there.
+fn snapshot_model(k: usize) -> EmpiricalModel {
+    let mut window = StreamingEcdf::new(k, 0.9, 10_000.0).unwrap();
+    for x in trace_samples(k) {
+        if x < 1_000.0 {
+            window.observe_started(x);
+        } else {
+            window.observe_censored(1_000.0);
+        }
+    }
+    EmpiricalModel::from_ecdf(window.snapshot().unwrap())
 }
 
 fn bench_ecdf(c: &mut Criterion) {
@@ -148,6 +162,15 @@ fn bench_optimizers(c: &mut Criterion) {
     g.bench_function("delayed_free_2d", |b| {
         b.iter(|| black_box(DelayedResubmission::optimize(&model)))
     });
+    // the 2-D search on the small snapshots fleet retunes run: per-point
+    // row cost, not the merge, dominates here
+    for k in [12, 100] {
+        let snapshot = snapshot_model(k);
+        g.sample_size(50);
+        g.bench_function(format!("delayed_free_2d_snapshot_k{k}"), |b| {
+            b.iter(|| black_box(DelayedResubmission::optimize(&snapshot)))
+        });
+    }
     g.finish();
 }
 

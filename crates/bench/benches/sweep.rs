@@ -209,7 +209,8 @@ fn bench_fleet_trajectory(_c: &mut Criterion) {
         ],
         vec![users],
         vec![FleetScenario::baseline()],
-    );
+    )
+    .expect("valid fleet sweep");
     let tasks_per_run: usize = sweep.n_runs_total() * users * tasks;
 
     black_box(sweep.run()); // warm-up

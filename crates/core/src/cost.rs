@@ -17,7 +17,7 @@
 
 use crate::latency::LatencyModel;
 use crate::strategy::{DelayedResubmission, MultipleSubmission, SingleResubmission, Strategy};
-use gridstrat_stats::optimize::grid_min_2d_rows;
+use gridstrat_stats::optimize::{grid_min_2d_rows, improves};
 
 /// One point of a cost profile (Tables 3–4, Fig. 8).
 #[derive(Debug, Clone, PartialEq)]
@@ -161,11 +161,11 @@ pub fn optimize_delayed_delta_cost(model: &dyn LatencyModel) -> CostPoint {
     let single = SingleResubmission::optimize(model);
     let e1 = single.expectation;
     // ∆cost at (t0, t_infs[j]) into values[j], every pair feasible
-    let mut moments = Vec::new();
+    let mut scratch = Vec::new();
     let mut objective_row = |t0: f64, t_infs: &[f64], values: &mut [f64]| {
-        moments.resize(t_infs.len(), (0.0, 0.0));
-        DelayedResubmission::raw_moments_row(model, 1, t0, t_infs, &mut moments);
-        for ((v, &(e, _)), &ti) in values.iter_mut().zip(&moments).zip(t_infs) {
+        DelayedResubmission::expectation_row(model, 1, t0, t_infs, &mut scratch, values);
+        for (v, &ti) in values.iter_mut().zip(t_infs) {
+            let e = *v;
             *v = if e.is_finite() {
                 delta_cost(DelayedResubmission::n_parallel_at(e, t0, ti), e, e1)
             } else {
@@ -180,7 +180,7 @@ pub fn optimize_delayed_delta_cost(model: &dyn LatencyModel) -> CostPoint {
         (lo, (2.0 * hi).min(model.horizon())),
         48,
         8,
-        &|t0, ti| DelayedResubmission::feasible(t0, ti) && ti >= t0 + 1.0,
+        |t0, ti| DelayedResubmission::feasible(t0, ti) && ti >= t0 + 1.0,
     )
     .expect("feasible region is non-empty");
 
@@ -200,7 +200,7 @@ pub fn optimize_delayed_delta_cost(model: &dyn LatencyModel) -> CostPoint {
         values.resize(t_infs.len(), f64::NAN);
         objective_row(t0f, &t_infs, &mut values);
         for (&tif, &v) in t_infs.iter().zip(&values) {
-            if best.is_none_or(|(bv, _, _)| v < bv) {
+            if best.is_none_or(|(bv, _, _)| improves(v, bv)) {
                 best = Some((v, t0, tif as i64));
             }
         }

@@ -42,42 +42,33 @@ pub trait LatencyModel {
     /// [`LatencyModel::survival_product_integrals`]).
     fn powered_survival_product_integrals(&self, b: u32, shift: f64, l: f64) -> (f64, f64);
 
-    /// [`LatencyModel::defective_cdf`] at every point of `ts`
-    /// (nondecreasing), written to `out`. The default evaluates point by
-    /// point; a model that can share work along a sorted row overrides it,
-    /// with bit-identical results.
-    fn defective_cdf_row(&self, ts: &[f64], out: &mut [f64]) {
-        assert_eq!(ts.len(), out.len(), "one output per query point");
-        for (o, &t) in out.iter_mut().zip(ts) {
-            *o = self.defective_cdf(t);
-        }
-    }
-
-    /// [`LatencyModel::powered_survival_integrals`] at every point of `ts`
-    /// (nondecreasing), written to `out`; default and overrides as for
-    /// [`LatencyModel::defective_cdf_row`].
-    fn powered_survival_integrals_row(&self, b: u32, ts: &[f64], out: &mut [(f64, f64)]) {
-        assert_eq!(ts.len(), out.len(), "one output per query point");
-        for (o, &t) in out.iter_mut().zip(ts) {
-            *o = self.powered_survival_integrals(b, t);
-        }
-    }
-
-    /// [`LatencyModel::powered_survival_product_integrals`] at every window
-    /// length of `ls` (nondecreasing), written to `out` — one
-    /// delayed-resubmission grid row (fixed `t0`, rising `t∞`). The
-    /// default evaluates point by point; a model whose kernels can share
-    /// one pass over a row overrides it, with bit-identical results.
-    fn powered_survival_product_integrals_row(
+    /// The first-moment kernels of one delayed-resubmission grid row
+    /// (fixed `shift = t0`, nondecreasing `ts` of `t∞`): with
+    /// `L = t - shift`, writes `F̃(t)` to `cdf[k]` and the first components
+    /// of [`LatencyModel::powered_survival_integrals`]`(b, L)` and
+    /// [`LatencyModel::powered_survival_product_integrals`]`(b, shift, L)`
+    /// to `a[k]` and `c[k]` — everything `E_J` needs, and none of the
+    /// moment integrals only `E[J²]` does. The default evaluates point by
+    /// point; a model that can share one pass over a row overrides it, with
+    /// bit-identical results.
+    fn first_moment_row(
         &self,
         b: u32,
         shift: f64,
-        ls: &[f64],
-        out: &mut [(f64, f64)],
+        ts: &[f64],
+        cdf: &mut [f64],
+        a: &mut [f64],
+        c: &mut [f64],
     ) {
-        assert_eq!(ls.len(), out.len(), "one output per window length");
-        for (o, &l) in out.iter_mut().zip(ls) {
-            *o = self.powered_survival_product_integrals(b, shift, l);
+        assert!(
+            ts.len() == cdf.len() && ts.len() == a.len() && ts.len() == c.len(),
+            "one output of each kernel per query point"
+        );
+        for (k, &t) in ts.iter().enumerate() {
+            let l = t - shift;
+            cdf[k] = self.defective_cdf(t);
+            a[k] = self.powered_survival_integrals(b, l).0;
+            c[k] = self.powered_survival_product_integrals(b, shift, l).0;
         }
     }
 
@@ -160,29 +151,22 @@ impl LatencyModel for EmpiricalModel {
         self.ecdf.powered_survival_integrals(b, t)
     }
 
-    fn defective_cdf_row(&self, ts: &[f64], out: &mut [f64]) {
-        self.ecdf.value_row(ts, out)
-    }
-
-    fn powered_survival_integrals_row(&self, b: u32, ts: &[f64], out: &mut [(f64, f64)]) {
-        self.ecdf.powered_survival_integrals_row(b, ts, out)
-    }
-
     fn powered_survival_product_integrals(&self, b: u32, shift: f64, l: f64) -> (f64, f64) {
         // allocation-free two-pointer merge over the sample array
         self.ecdf.powered_survival_product_integrals(b, shift, l)
     }
 
-    fn powered_survival_product_integrals_row(
+    fn first_moment_row(
         &self,
         b: u32,
         shift: f64,
-        ls: &[f64],
-        out: &mut [(f64, f64)],
+        ts: &[f64],
+        cdf: &mut [f64],
+        a: &mut [f64],
+        c: &mut [f64],
     ) {
-        // one merge for the whole row
-        self.ecdf
-            .powered_survival_product_integrals_row(b, shift, ls, out)
+        // one allocation-free pass, one merge for the whole row
+        self.ecdf.first_moment_row(b, shift, ts, cdf, a, c)
     }
 
     fn horizon(&self) -> f64 {

@@ -160,27 +160,43 @@ impl DelayedResubmission {
         if !Self::feasible(t0, t_inf) {
             return (f64::INFINITY, f64::INFINITY);
         }
-        let mut out = [(0.0, 0.0)];
-        Self::raw_moments_row(model, b, t0, &[t_inf], &mut out);
-        out[0]
+        let f = model.defective_cdf(t_inf);
+        if f <= 0.0 {
+            return (f64::INFINITY, f64::INFINITY);
+        }
+        let l = t_inf - t0; // overlap window length, in [0, t0]
+        let (a_l, b_l) = model.powered_survival_integrals(b, l);
+        let (c0, d0) = model.powered_survival_product_integrals(b, t0, l);
+        let (a_t0, b_t0) = model.powered_survival_integrals(b, t0);
+        let q = echelon_survival(f, b);
+        let inv = 1.0 / (1.0 - q); // = 1/G_b(t∞)
+        let c1 = a_t0 - a_l;
+        let d1 = b_t0 - b_l;
+        let e = first_moment(a_t0, a_l, c0, q);
+        let e2 =
+            2.0 * (b_t0 + d0 * inv + t0 * c0 * inv * inv + q * d1 * inv + q * t0 * c1 * inv * inv);
+        (e, e2)
     }
 
-    /// `(E[J], E[J²])` of the `b`-copy generalisation at `(t0, t_infs[j])`
-    /// for every `j`, written to `out[j]`: one grid row of the `(t0, t∞)`
-    /// plane. `t0` is shared, so `A_b(t0)`/`B_b(t0)` are computed once and
-    /// the product kernels come from one
-    /// [`LatencyModel::powered_survival_product_integrals_row`] pass; each
-    /// point is bit-identical to its own evaluation.
+    /// `E[J]` of the `b`-copy generalisation at `(t0, t_infs[j])` for every
+    /// `j`, written to `out[j]`: one grid row of the `(t0, t∞)` plane, and
+    /// the only objective both 2-D searches evaluate. The kernels come from
+    /// one [`LatencyModel::first_moment_row`] pass into `scratch`, so a
+    /// search that keeps its `scratch` across rows allocates only when a
+    /// row outgrows every earlier one, and `A_b(t0)` is shared by the row.
+    /// Each point is bit-identical to
+    /// [`DelayedResubmission::expectation_with_copies`].
     ///
     /// # Panics
     ///
     /// If a pair is infeasible or `t_infs` is not nondecreasing.
-    pub(crate) fn raw_moments_row<M: LatencyModel + ?Sized>(
+    pub(crate) fn expectation_row<M: LatencyModel + ?Sized>(
         model: &M,
         b: u32,
         t0: f64,
         t_infs: &[f64],
-        out: &mut [(f64, f64)],
+        scratch: &mut Vec<f64>,
+        out: &mut [f64],
     ) {
         assert!(b >= 1, "need at least one copy per echelon");
         assert_eq!(t_infs.len(), out.len(), "one output per t∞");
@@ -190,35 +206,20 @@ impl DelayedResubmission {
                 "infeasible pair ({t0}, {t_inf}) in a delayed grid row"
             );
         }
-        let mut fs = vec![0.0; t_infs.len()];
-        model.defective_cdf_row(t_infs, &mut fs);
-        // F̃ is nondecreasing: points with F̃(t∞) = 0 (infinite moments)
-        // lead the row and need no kernels
-        let live = fs.iter().position(|&f| f > 0.0).unwrap_or(fs.len());
-        out[..live].fill((f64::INFINITY, f64::INFINITY));
-        let (fs, out) = (&fs[live..], &mut out[live..]);
-        // overlap window lengths, in [0, t0]
-        let ls: Vec<f64> = t_infs[live..].iter().map(|&t_inf| t_inf - t0).collect();
-        let mut ab_l = vec![(0.0, 0.0); ls.len()];
-        model.powered_survival_integrals_row(b, &ls, &mut ab_l);
-        // out holds (C0, D0) until each point's moments replace them
-        model.powered_survival_product_integrals_row(b, t0, &ls, out);
-        let (a_t0, b_t0) = model.powered_survival_integrals(b, t0);
-        for ((o, &f), &(a_l, b_l)) in out.iter_mut().zip(fs).zip(&ab_l) {
-            if f <= 0.0 {
-                *o = (f64::INFINITY, f64::INFINITY);
-                continue;
-            }
-            let (c0, d0) = *o;
-            // echelon timeout survival: q = s(t∞)^b
-            let q = (1.0 - f).powi(b as i32);
-            let c1 = a_t0 - a_l;
-            let d1 = b_t0 - b_l;
-            let inv = 1.0 / (1.0 - q); // = 1/G_b(t∞)
-            let e = a_t0 + c0 * inv + q * c1 * inv;
-            let e2 = 2.0
-                * (b_t0 + d0 * inv + t0 * c0 * inv * inv + q * d1 * inv + q * t0 * c1 * inv * inv);
-            *o = (e, e2);
+        let n = t_infs.len();
+        if scratch.len() < 3 * n {
+            scratch.resize(3 * n, 0.0);
+        }
+        let (cdf, rest) = scratch.split_at_mut(n);
+        let (a, c) = rest[..2 * n].split_at_mut(n);
+        model.first_moment_row(b, t0, t_infs, cdf, a, c);
+        let a_t0 = model.powered_survival_integrals(b, t0).0;
+        // b = 1 gets its own copy of the loop: a `powi` call anywhere in it
+        // costs more than the rest of the combination
+        if b == 1 {
+            fill_first_moments(a_t0, cdf, a, c, out, |f| echelon_survival(f, 1));
+        } else {
+            fill_first_moments(a_t0, cdf, a, c, out, |f| echelon_survival(f, b));
         }
     }
 
@@ -281,20 +282,14 @@ impl DelayedResubmission {
     pub fn optimize_with_copies<M: LatencyModel + ?Sized>(model: &M, b: u32) -> DelayedOutcome {
         assert!(b >= 1, "need at least one copy per echelon");
         let (lo, hi) = model.plausible_range();
-        let mut moments = Vec::new();
+        let mut scratch = Vec::new();
         let best = grid_min_2d_rows(
-            |t0, t_infs, values| {
-                moments.resize(t_infs.len(), (0.0, 0.0));
-                Self::raw_moments_row(model, b, t0, t_infs, &mut moments);
-                for (v, &(e, _)) in values.iter_mut().zip(&moments) {
-                    *v = e;
-                }
-            },
+            |t0, t_infs, values| Self::expectation_row(model, b, t0, t_infs, &mut scratch, values),
             (lo, hi),
             (lo, (2.0 * hi).min(model.horizon())),
             48,
             10,
-            &|t0, ti| Self::feasible(t0, ti),
+            Self::feasible,
         )
         .expect("feasible region is non-empty");
         let (e, s) = Self::moments_with_copies(model, b, best.x, best.y);
@@ -337,6 +332,50 @@ impl DelayedResubmission {
             expectation: e,
             std_dev: s,
         }
+    }
+}
+
+/// The echelon timeout survival `q = s(t∞)ᵇ = (1 - F̃(t∞))ᵇ`. `powi(1)`
+/// is exact, so skipping it for `b = 1` changes no bit.
+#[inline]
+fn echelon_survival(f: f64, b: u32) -> f64 {
+    let s = 1.0 - f;
+    if b == 1 {
+        s
+    } else {
+        s.powi(b as i32)
+    }
+}
+
+/// `E[J] = A(t0) + C0/(1-q) + q·C1/(1-q)` with `C1 = A(t0) - A(t∞-t0)`
+/// and `1/(1-q) = 1/G_b(t∞)`: the one home of the first-moment
+/// combination, shared by the point and row evaluations.
+#[inline]
+fn first_moment(a_t0: f64, a_l: f64, c0: f64, q: f64) -> f64 {
+    let inv = 1.0 / (1.0 - q);
+    let c1 = a_t0 - a_l;
+    a_t0 + c0 * inv + q * c1 * inv
+}
+
+/// `E[J]` of every point of a row from its kernels `F̃(t∞)`, `A_b(t∞-t0)`,
+/// `C0_b` and the shared `A_b(t0)`; `q_of` maps `F̃(t∞)` to the echelon
+/// timeout survival. A point with `F̃(t∞) = 0` never ends: `+∞`.
+#[inline]
+fn fill_first_moments(
+    a_t0: f64,
+    cdf: &[f64],
+    a: &[f64],
+    c: &[f64],
+    out: &mut [f64],
+    q_of: impl Fn(f64) -> f64,
+) {
+    for (k, o) in out.iter_mut().enumerate() {
+        let f = cdf[k];
+        *o = if f <= 0.0 {
+            f64::INFINITY
+        } else {
+            first_moment(a_t0, a[k], c[k], q_of(f))
+        };
     }
 }
 
@@ -694,6 +733,78 @@ mod tests {
             (de - dp).abs() / dp < 0.06,
             "empirical {de} vs parametric {dp}"
         );
+    }
+
+    /// A sorted row of feasible `t∞` for `t0`: both ends of the wedge,
+    /// random points, sample values and sample values shifted by `t0`.
+    fn t_inf_row(rng: &mut rand::rngs::StdRng, t0: f64, body: &[f64]) -> Vec<f64> {
+        use rand::Rng;
+        let mut row = vec![t0, 2.0 * t0];
+        for _ in 0..rng.gen_range(0..24usize) {
+            row.push(rng.gen_range(t0..2.0 * t0));
+            let x = body[rng.gen_range(0..body.len())];
+            row.push(x);
+            row.push(x + t0);
+        }
+        row.retain(|&ti| DelayedResubmission::feasible(t0, ti));
+        row.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        row
+    }
+
+    fn assert_row_matches_points<M: LatencyModel + ?Sized>(
+        model: &M,
+        t0: f64,
+        row: &[f64],
+        scratch: &mut Vec<f64>,
+        what: &str,
+    ) {
+        for b in [1u32, 2, 3] {
+            let mut out = vec![f64::NAN; row.len()];
+            DelayedResubmission::expectation_row(model, b, t0, row, scratch, &mut out);
+            for (&ti, &e) in row.iter().zip(&out) {
+                let want = DelayedResubmission::raw_moments(model, b, t0, ti).0;
+                assert_eq!(e.to_bits(), want.to_bits(), "{what}, b = {b}, ({t0}, {ti})");
+            }
+        }
+    }
+
+    #[test]
+    fn expectation_row_is_bit_identical_to_point_evaluation() {
+        use rand::Rng;
+        let mut rng = derived_rng(0xDE1A, 1);
+        // one scratch buffer for every row: reuse across lengths is part of
+        // the contract
+        let mut scratch = Vec::new();
+        for case in 0..96 {
+            // 1–200 samples of mixed scales, exact duplicates, outliers
+            let mut xs: Vec<f64> = (0..rng.gen_range(1..=200usize))
+                .map(|_| (rng.gen::<f64>() * 9.0).exp())
+                .collect();
+            for _ in 0..rng.gen_range(0..8usize) {
+                xs.push(xs[rng.gen_range(0..xs.len())]);
+            }
+            xs.extend((0..rng.gen_range(0..6usize)).map(|_| 20_000.0));
+            let m = EmpiricalModel::from_samples(&xs, 10_000.0).unwrap();
+            let body = m.ecdf().body();
+            let (first, last) = (body[0], body[body.len() - 1]);
+            for t0 in [
+                // leading points with F̃(t∞) = 0
+                rng.gen_range(0.3 * first..first),
+                body[rng.gen_range(0..body.len())],
+                rng.gen_range(0.01..last),
+                // t∞ beyond the last sample
+                rng.gen_range(0.6 * last..1.2 * last),
+            ] {
+                let row = t_inf_row(&mut rng, t0, body);
+                assert_row_matches_points(&m, t0, &row, &mut scratch, &format!("case {case}"));
+            }
+        }
+        // the point-by-point default: below the 150 s shift F̃ = 0
+        let m = heavy_model();
+        for t0 in [100.0, 160.0, 420.0] {
+            let row = t_inf_row(&mut rng, t0, &[130.0, 300.0, 455.5]);
+            assert_row_matches_points(&m, t0, &row, &mut scratch, "parametric");
+        }
     }
 
     #[test]

@@ -98,8 +98,11 @@ type ShardWorkers = Vec<FleetWorker>;
 
 impl ShardedFleet {
     /// Builds a sharded community with the default coupling (1-hour
-    /// epochs, full-strength exchange). Panics on invalid shapes — the
-    /// same contract as [`crate::FleetSweep::new`].
+    /// epochs, full-strength exchange).
+    ///
+    /// # Panics
+    ///
+    /// On any shape [`ShardedFleet::validate`] rejects.
     pub fn new(
         config: FleetConfig,
         mix: StrategyMix,

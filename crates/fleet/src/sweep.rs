@@ -90,34 +90,36 @@ pub struct FleetSweep {
 }
 
 impl FleetSweep {
-    /// Builds a sweep; every axis must be non-empty and the configuration
-    /// valid.
+    /// Builds a sweep. Errors when an axis is empty, a community size is
+    /// zero, or the configuration or a mix is invalid.
     pub fn new(
         config: FleetConfig,
         mixes: Vec<StrategyMix>,
         community_sizes: Vec<usize>,
         scenarios: Vec<GridScenario>,
-    ) -> Self {
-        config.validate().expect("valid fleet config");
-        assert!(!mixes.is_empty(), "sweep needs at least one mix");
-        assert!(
-            !community_sizes.is_empty(),
-            "sweep needs at least one community size"
-        );
-        assert!(!scenarios.is_empty(), "sweep needs at least one scenario");
-        assert!(
-            community_sizes.iter().all(|&u| u > 0),
-            "community sizes must be positive"
-        );
-        for m in &mixes {
-            m.validate().expect("valid strategy mix");
+    ) -> Result<Self, String> {
+        config.validate()?;
+        if mixes.is_empty() {
+            return Err("sweep needs at least one mix".into());
         }
-        FleetSweep {
+        if community_sizes.is_empty() {
+            return Err("sweep needs at least one community size".into());
+        }
+        if scenarios.is_empty() {
+            return Err("sweep needs at least one scenario".into());
+        }
+        if community_sizes.contains(&0) {
+            return Err("community sizes must be positive".into());
+        }
+        for m in &mixes {
+            m.validate()?;
+        }
+        Ok(FleetSweep {
             config,
             mixes,
             community_sizes,
             scenarios,
-        }
+        })
     }
 
     /// Number of cells in the grid.
@@ -196,6 +198,10 @@ impl FleetSweep {
 
 /// Runs a single community cell (mix, size, scenario) outside a sweep —
 /// the convenience entry point for examples and one-off experiments.
+///
+/// # Panics
+///
+/// If [`FleetSweep::new`] rejects the cell.
 pub fn run_cell(
     config: &FleetConfig,
     mix: &StrategyMix,
@@ -208,6 +214,7 @@ pub fn run_cell(
         vec![users],
         vec![scenario.clone()],
     )
+    .unwrap_or_else(|e| panic!("invalid fleet cell: {e}"))
     .run()
     .remove(0)
 }

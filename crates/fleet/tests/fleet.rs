@@ -61,6 +61,7 @@ fn small_sweep(seed: u64) -> FleetSweep {
             GridScenario::new("2x-faults", 2.0, 1.0),
         ],
     )
+    .expect("valid sweep")
 }
 
 #[test]
@@ -217,7 +218,8 @@ fn raising_b_degrades_community_latency_and_waste() {
         vec![burst(1), burst(2), burst(4)],
         vec![40],
         vec![GridScenario::baseline()],
-    );
+    )
+    .expect("valid sweep");
     let out = sweep.run();
     assert_eq!(out.len(), 3);
     let (b1, b2, b4) = (&out[0], &out[1], &out[2]);
@@ -307,6 +309,7 @@ fn adaptive_sweep_identical_across_thread_counts_and_reuse() {
             vec![8, 12],
             vec![GridScenario::baseline()],
         )
+        .expect("valid sweep")
     };
     let run_with = |threads: usize| {
         let pool = rayon::ThreadPoolBuilder::new()
@@ -340,6 +343,37 @@ fn mix_rejects_invalid_adaptive_config() {
         )],
     };
     assert!(mix.validate().is_err());
+}
+
+#[test]
+fn sweep_rejects_invalid_shapes_with_errors() {
+    let cfg = test_config();
+    let mix = || vec![mixed_population()];
+    let base = || vec![GridScenario::baseline()];
+    let new = |mixes, sizes, scenarios| FleetSweep::new(cfg.clone(), mixes, sizes, scenarios);
+    assert!(new(mix(), vec![9], base()).is_ok());
+    for (what, sweep) in [
+        ("no mix", new(vec![], vec![9], base())),
+        ("no size", new(mix(), vec![], base())),
+        ("zero users", new(mix(), vec![9, 0], base())),
+        ("no scenario", new(mix(), vec![9], vec![])),
+        (
+            "empty mix",
+            new(
+                vec![StrategyMix {
+                    name: "empty".into(),
+                    groups: vec![],
+                }],
+                vec![9],
+                base(),
+            ),
+        ),
+    ] {
+        assert!(sweep.is_err(), "{what} accepted");
+    }
+    let mut bad = test_config();
+    bad.replications = 0;
+    assert!(FleetSweep::new(bad, mix(), vec![9], base()).is_err());
 }
 
 #[test]

@@ -18,23 +18,29 @@
 //!   (the building blocks of the paper's eqs. 1–4), and
 //! * exact product integrals over shifted survival functions (eq. 5),
 //!
-//! plus row queries ([`Ecdf::value_row`],
-//! [`Ecdf::powered_survival_integrals_row`],
-//! [`Ecdf::powered_survival_product_integrals_row`]) that answer a
-//! nondecreasing batch of points in one pass, bit-identical to one call
-//! per point.
+//! plus row queries ([`Ecdf::powered_survival_product_integrals_row`],
+//! [`Ecdf::first_moment_row`]) that answer a nondecreasing batch of points
+//! in one pass, bit-identical to one call per point.
+//!
+//! Every step level `1 - j/n` is computed once, at construction, into a
+//! step table (and, raised to a power `b`, into that power's tables), so
+//! no query divides by `n` to find a level: each reads the same value the
+//! division would produce, bit for bit.
 
 use crate::stepfn::StepFn;
 use std::sync::{Arc, RwLock};
 
-/// Prefix tables for one survival power `b`:
+/// Tables for one survival power `b`:
 /// `a[j] = ∫₀^{xs[j-1]} (1-F̃(u))ᵇ du`, `m[j] = ∫₀^{xs[j-1]} u·(1-F̃(u))ᵇ du`
-/// (`a[0] = m[0] = 0`). Built once per power and cached on the [`Ecdf`];
-/// with them every powered survival integral is an O(log n) lookup.
+/// (`a[0] = m[0] = 0`) and the echelon factor `s[j] = (1 - j/n)ᵇ`, the
+/// powered step level after `j` samples. Built once per power and cached
+/// on the [`Ecdf`]; with them every powered survival integral is an
+/// O(log n) lookup with no division and no `powi`.
 #[derive(Debug)]
 struct PowerTables {
     a: Vec<f64>,
     m: Vec<f64>,
+    s: Vec<f64>,
 }
 
 /// Empirical defective CDF of a censored latency sample.
@@ -72,6 +78,10 @@ pub struct Ecdf {
     prefix_x: Vec<f64>,
     /// prefix_x2[j] = Σ_{i<j} xs[i]² ; prefix_x2[0] = 0 (for `body_std`).
     prefix_x2: Vec<f64>,
+    /// surv[j] = 1 - j/n for j = 0..=xs.len(): the survival level `1 - F̃`
+    /// on `[xs[j-1], xs[j])`. The step table every kernel reads its levels
+    /// from, so no query divides by `n`.
+    surv: Vec<f64>,
     /// Lazily-built per-power prefix tables for the multiple-submission
     /// kernels, keyed by the survival power `b`. A read-mostly list (the
     /// handful of distinct `b` values a tuning run touches) behind an
@@ -90,6 +100,7 @@ impl Clone for Ecdf {
             prefix_b: self.prefix_b.clone(),
             prefix_x: self.prefix_x.clone(),
             prefix_x2: self.prefix_x2.clone(),
+            surv: self.surv.clone(),
             // the tables are immutable once built — share them
             pow_cache: RwLock::new(self.pow_cache.read().expect("ecdf cache lock").clone()),
         }
@@ -167,6 +178,7 @@ impl Ecdf {
     fn from_sorted_body(xs: Vec<f64>, n_total: usize, threshold: f64) -> Self {
         let n = n_total as f64;
         let m = xs.len();
+        let surv: Vec<f64> = (0..=m).map(|j| 1.0 - j as f64 / n).collect();
         let mut prefix_a = Vec::with_capacity(m + 1);
         let mut prefix_b = Vec::with_capacity(m + 1);
         let mut prefix_x = Vec::with_capacity(m + 1);
@@ -180,9 +192,8 @@ impl Ecdf {
         let mut sx = 0.0;
         let mut sx2 = 0.0;
         let mut lo = 0.0;
-        for (j, &x) in xs.iter().enumerate() {
-            // on [lo, x): F̃ = j/n  =>  1-F̃ = 1 - j/n
-            let s = 1.0 - j as f64 / n;
+        for (&x, &s) in xs.iter().zip(&surv) {
+            // on [lo, x): F̃ = j/n  =>  1-F̃ = surv[j]
             a += s * (x - lo);
             b += s * 0.5 * (x * x - lo * lo);
             sx += x;
@@ -201,6 +212,7 @@ impl Ecdf {
             prefix_b,
             prefix_x,
             prefix_x2,
+            surv,
             pow_cache: RwLock::new(Vec::new()),
         }
     }
@@ -218,9 +230,9 @@ impl Ecdf {
             return Arc::clone(tables);
         }
         // build outside the lock: construction is O(n) and contention-free
-        let n = self.n_total as f64;
         let pow = b as i32;
         let m = self.xs.len();
+        let s_tab: Vec<f64> = self.surv.iter().map(|s| s.powi(pow)).collect();
         let mut a_tab = Vec::with_capacity(m + 1);
         let mut m_tab = Vec::with_capacity(m + 1);
         a_tab.push(0.0);
@@ -228,21 +240,35 @@ impl Ecdf {
         let mut a = 0.0;
         let mut mm = 0.0;
         let mut lo = 0.0;
-        for (j, &x) in self.xs.iter().enumerate() {
-            let s = (1.0 - j as f64 / n).powi(pow);
+        for (&x, &s) in self.xs.iter().zip(&s_tab) {
             a += s * (x - lo);
             mm += s * 0.5 * (x * x - lo * lo);
             a_tab.push(a);
             m_tab.push(mm);
             lo = x;
         }
-        let built = Arc::new(PowerTables { a: a_tab, m: m_tab });
+        let built = Arc::new(PowerTables {
+            a: a_tab,
+            m: m_tab,
+            s: s_tab,
+        });
         let mut cache = self.pow_cache.write().expect("ecdf cache lock");
         if let Some((_, tables)) = cache.iter().find(|(p, _)| *p == b) {
             return Arc::clone(tables); // another thread won the race
         }
         cache.push((b, Arc::clone(&built)));
         built
+    }
+
+    /// Calls `f(a, m, s)` with the prefix and step tables of survival
+    /// power `b` (see [`PowerTables`]); `b = 1` reads the always-present
+    /// plain tables.
+    fn with_power_tables<R>(&self, b: u32, f: impl FnOnce(&[f64], &[f64], &[f64]) -> R) -> R {
+        if b == 1 {
+            return f(&self.prefix_a, &self.prefix_b, &self.surv);
+        }
+        let tables = self.power_tables(b);
+        f(&tables.a, &tables.m, &tables.s)
     }
 
     /// Total number of submissions (body + outliers).
@@ -289,8 +315,7 @@ impl Ecdf {
         }
         let j = self.xs.partition_point(|&x| x <= t);
         let lo = if j == 0 { 0.0 } else { self.xs[j - 1] };
-        let s = 1.0 - j as f64 / self.n_total as f64;
-        self.prefix_a[j] + s * (t - lo)
+        self.prefix_a[j] + self.surv[j] * (t - lo)
     }
 
     /// Exact `B(t) = ∫₀ᵗ u·(1 - F̃(u)) du` in O(log n).
@@ -300,8 +325,7 @@ impl Ecdf {
         }
         let j = self.xs.partition_point(|&x| x <= t);
         let lo = if j == 0 { 0.0 } else { self.xs[j - 1] };
-        let s = 1.0 - j as f64 / self.n_total as f64;
-        self.prefix_b[j] + s * 0.5 * (t * t - lo * lo)
+        self.prefix_b[j] + self.surv[j] * 0.5 * (t * t - lo * lo)
     }
 
     /// Exact powered survival integrals — the multiple-submission kernels
@@ -311,78 +335,37 @@ impl Ecdf {
     /// (∫₀ᵗ (1-F̃(u))ᵇ du,  ∫₀ᵗ u·(1-F̃(u))ᵇ du)
     /// ```
     ///
-    /// O(log n) per call after the prefix tables for power `b` are built
-    /// (once, lazily, O(n)); the query path performs no allocation beyond
-    /// a reference-count bump on the cached tables. `b = 1` reuses the
-    /// always-present plain tables. The one-query case of
-    /// [`Ecdf::powered_survival_integrals_row`].
+    /// O(log n) per call after the tables for power `b` are built (once,
+    /// lazily, O(n)); the query path performs no allocation beyond a
+    /// reference-count bump on the cached tables. `b = 1` reuses the
+    /// always-present plain tables.
     pub fn powered_survival_integrals(&self, b: u32, t: f64) -> (f64, f64) {
-        let mut out = [(0.0, 0.0)];
-        self.powered_survival_integrals_row(b, &[t], &mut out);
-        out[0]
+        let j = self.xs.partition_point(|&x| x <= t);
+        self.with_power_tables(b, |a, m, s| self.powered_at::<true>(a, m, s, j, t))
     }
 
-    /// [`Ecdf::powered_survival_integrals`] at every point of `ts`
-    /// (nondecreasing), written to `out`: one table lookup per point, with
-    /// the sample ranks found by one forward cursor instead of a binary
-    /// search each.
-    ///
-    /// # Panics
-    ///
-    /// If `ts` and `out` differ in length or `ts` is not nondecreasing.
-    pub fn powered_survival_integrals_row(&self, b: u32, ts: &[f64], out: &mut [(f64, f64)]) {
-        assert_eq!(ts.len(), out.len(), "one output per query point");
-        let powered = (b != 1).then(|| self.power_tables(b));
-        let (a, m) = match &powered {
-            Some(tables) => (&tables.a, &tables.m),
-            None => (&self.prefix_a, &self.prefix_b),
+    /// `(∫₀ᵗ sᵇ, ∫₀ᵗ u·sᵇ)` off the power-`b` tables `(a, m, s)`, given the
+    /// rank `j = #{x ≤ t}`; without `MOMENT` the second component is 0.
+    #[inline]
+    fn powered_at<const MOMENT: bool>(
+        &self,
+        a: &[f64],
+        m: &[f64],
+        s: &[f64],
+        j: usize,
+        t: f64,
+    ) -> (f64, f64) {
+        if t <= 0.0 {
+            return (0.0, 0.0);
+        }
+        let lo = if j == 0 { 0.0 } else { self.xs[j - 1] };
+        let s = s[j];
+        let moment = if MOMENT {
+            m[j] + s * 0.5 * (t * t - lo * lo)
+        } else {
+            0.0
         };
-        let n = self.n_total as f64;
-        for ((t, j), o) in self.ranks(ts).zip(out) {
-            *o = if t <= 0.0 {
-                (0.0, 0.0)
-            } else {
-                let lo = if j == 0 { 0.0 } else { self.xs[j - 1] };
-                let s = 1.0 - j as f64 / n;
-                let s = if b == 1 { s } else { s.powi(b as i32) };
-                (a[j] + s * (t - lo), m[j] + s * 0.5 * (t * t - lo * lo))
-            };
-        }
-    }
-
-    /// `F̃` at every point of `ts` (nondecreasing), written to `out`, with
-    /// the ranks found by one forward cursor.
-    ///
-    /// # Panics
-    ///
-    /// If `ts` and `out` differ in length or `ts` is not nondecreasing.
-    pub fn value_row(&self, ts: &[f64], out: &mut [f64]) {
-        assert_eq!(ts.len(), out.len(), "one output per query point");
-        for ((_, j), o) in self.ranks(ts).zip(out) {
-            *o = j as f64 / self.n_total as f64;
-        }
-    }
-
-    /// Pairs every point `t` of nondecreasing `ts` with its rank
-    /// `#{x ≤ t}` — the index `partition_point(|x| x <= t)` returns — from
-    /// one binary search for the first point and a forward cursor after.
-    fn ranks<'a>(&'a self, ts: &'a [f64]) -> impl Iterator<Item = (f64, usize)> + 'a {
-        let xs = &self.xs;
-        let mut j = ts.first().map_or(0, |&t| xs.partition_point(|&x| x <= t));
-        let mut prev = f64::NEG_INFINITY;
-        ts.iter().map(move |&t| {
-            // a NaN point passes through (rank unchanged, NaN answer), as
-            // it does through a binary search
-            assert!(
-                t >= prev || t.is_nan(),
-                "query points must be nondecreasing, got {t} after {prev}"
-            );
-            prev = prev.max(t);
-            while j < xs.len() && xs[j] <= t {
-                j += 1;
-            }
-            (t, j)
-        })
+        (a[j] + s * (t - lo), moment)
     }
 
     /// Exact product integrals over shifted survival functions:
@@ -410,26 +393,15 @@ impl Ecdf {
     /// where `k` is the number of sample values falling in the two
     /// length-`L` windows.
     pub fn powered_survival_product_integrals(&self, b: u32, shift: f64, l: f64) -> (f64, f64) {
-        let mut out = [(0.0, 0.0)];
-        self.powered_survival_product_integrals_row(b, shift, &[l], &mut out);
-        out[0]
+        ProductMerge::<true, false>::new(self, b, shift).advance(l)
     }
 
     /// [`Ecdf::powered_survival_product_integrals`] at every window length
-    /// of `ls` (nondecreasing), written to `out`, in one merge.
-    ///
-    /// The integrand is a step function whose breakpoints are sample
-    /// values and sample values minus `shift`: a two-pointer merge walks
-    /// both (already sorted) breakpoint streams directly off the sample
-    /// array, counting crossings incrementally — no scratch vector, no
-    /// per-segment binary search, and no `(x - shift) + shift` float
-    /// round-trip (the crossing count *is* the step level). The running
-    /// sums only ever advance over whole segments, which do not depend on
-    /// the query; each query adds its own partial last segment. That is
-    /// the arithmetic a separate merge per query would do, in the same
-    /// order, so every answer is bit-identical to the one-query call, and
-    /// a whole delayed-resubmission grid row (fixed `t0`, rising `t∞`)
-    /// costs one O(log n + k) merge up to its longest window.
+    /// of `ls` (nondecreasing), written to `out`, in one merge: a whole
+    /// delayed-resubmission grid row (fixed `t0`, rising `t∞`) costs one
+    /// O(log n + k) merge up to its longest window. The merge's running
+    /// sums only advance over whole segments, which do not depend on the
+    /// query, so every answer is bit-identical to the one-query call.
     ///
     /// # Panics
     ///
@@ -442,66 +414,87 @@ impl Ecdf {
         out: &mut [(f64, f64)],
     ) {
         assert_eq!(ls.len(), out.len(), "one output per window length");
-        let xs = &self.xs;
-        let n = self.n_total as f64;
-        let pow = b as i32;
-        let level = |i1: usize, i2: usize| {
-            let p = (1.0 - i1 as f64 / n) * (1.0 - i2 as f64 / n);
-            if b == 1 {
-                p
-            } else {
-                p.powi(pow)
-            }
-        };
-        // i1/i2 are both cursors and step levels: for u in the current
-        // segment, #{x ≤ u} = i1 and #{x ≤ u+shift} = i2
-        let mut i1 = xs.partition_point(|&x| x <= 0.0);
-        let mut i2 = xs.partition_point(|&x| x <= shift);
-        let mut c = 0.0;
-        let mut d = 0.0;
-        let mut lo = 0.0_f64;
-        let mut prev = f64::NEG_INFINITY;
+        let mut merge = ProductMerge::<true, false>::new(self, b, shift);
         for (&l, o) in ls.iter().zip(out) {
-            assert!(
-                l >= prev,
-                "window lengths must be nondecreasing, got {l} after {prev}"
-            );
-            prev = l;
-            loop {
-                let next1 = if i1 < xs.len() { xs[i1] } else { f64::INFINITY };
-                let next2 = if i2 < xs.len() {
-                    xs[i2] - shift
-                } else {
-                    f64::INFINITY
-                };
-                let hi = next1.min(next2);
-                if hi >= l {
-                    break;
-                }
-                if hi > lo {
-                    let v = level(i1, i2);
-                    c += v * (hi - lo);
-                    d += v * 0.5 * (hi * hi - lo * lo);
-                    lo = hi;
-                }
-                // advance past every breakpoint stream that produced `hi`
-                // (duplicated sample values step one index per pass, through
-                // zero-width segments that contribute nothing)
-                if next1 <= hi {
-                    i1 += 1;
-                }
-                if next2 <= hi {
-                    i2 += 1;
-                }
-            }
-            // the partial last segment [lo, l); empty when l ≤ 0
-            *o = if l > lo {
-                let v = level(i1, i2);
-                (c + v * (l - lo), d + v * 0.5 * (l * l - lo * lo))
-            } else {
-                (c, d)
-            };
+            *o = merge.advance(l);
         }
+    }
+
+    /// The first-moment kernels of one shifted-window row: for every point
+    /// `t` of `ts` (nondecreasing), with `L = t - shift`,
+    ///
+    /// ```text
+    /// cdf[k] = F̃(t),   a[k] = ∫₀ᴸ (1-F̃(u))ᵇ du,   c[k] = ∫₀ᴸ [(1-F̃(u+shift))·(1-F̃(u))]ᵇ du
+    /// ```
+    ///
+    /// — what a delayed-resubmission grid row (`shift = t0`, rising
+    /// `t = t∞`) needs for `E_J` alone, without the moment integrals. One
+    /// forward pass advances the rank cursors of `t` and `L` and the
+    /// product merge together and writes into the caller's slices; it
+    /// allocates nothing beyond the one-off tables of a power `b` not seen
+    /// before. Every step level comes from the step tables, so the only
+    /// division is `F̃ = j/n` itself. Each output is bit-identical to [`Ecdf::value`] at `t` and to the
+    /// first component of [`Ecdf::powered_survival_integrals`] and
+    /// [`Ecdf::powered_survival_product_integrals`] at `L`.
+    ///
+    /// # Panics
+    ///
+    /// If the slices differ in length or `ts` is not nondecreasing.
+    pub fn first_moment_row(
+        &self,
+        b: u32,
+        shift: f64,
+        ts: &[f64],
+        cdf: &mut [f64],
+        a: &mut [f64],
+        c: &mut [f64],
+    ) {
+        assert!(
+            ts.len() == cdf.len() && ts.len() == a.len() && ts.len() == c.len(),
+            "one output of each kernel per query point"
+        );
+        // b = 1 gets its own copy of the loop: a `powi` call anywhere in it
+        // makes the compiler keep the loop state in memory
+        if b == 1 {
+            self.first_moment_row_with::<true>(b, shift, ts, cdf, a, c)
+        } else {
+            self.first_moment_row_with::<false>(b, shift, ts, cdf, a, c)
+        }
+    }
+
+    /// [`Ecdf::first_moment_row`], with `B1` promising `b = 1`.
+    fn first_moment_row_with<const B1: bool>(
+        &self,
+        b: u32,
+        shift: f64,
+        ts: &[f64],
+        cdf: &mut [f64],
+        a: &mut [f64],
+        c: &mut [f64],
+    ) {
+        let Some(&first) = ts.first() else {
+            return;
+        };
+        let n = self.n_total as f64;
+        self.with_power_tables(b, |a_tab, m_tab, s_tab| {
+            let mut t_ranks = RankCursor::new(&self.xs, first);
+            let mut l_ranks = RankCursor::new(&self.xs, first - shift);
+            let mut merge = ProductMerge::<false, B1>::new(self, b, shift);
+            let mut prev = f64::NEG_INFINITY;
+            for (k, &t) in ts.iter().enumerate() {
+                assert!(
+                    t >= prev,
+                    "query points must be nondecreasing, got {t} after {prev}"
+                );
+                prev = t;
+                let l = t - shift;
+                cdf[k] = t_ranks.rank(t) as f64 / n;
+                a[k] = self
+                    .powered_at::<false>(a_tab, m_tab, s_tab, l_ranks.rank(l), l)
+                    .0;
+                c[k] = merge.advance(l).0;
+            }
+        });
     }
 
     /// Empirical quantile of the *non-outlier* body at level `p ∈ [0, 1]`
@@ -557,6 +550,170 @@ impl Ecdf {
             i = j;
         }
         StepFn::new(breaks, values).expect("sorted distinct breakpoints")
+    }
+}
+
+/// The rank `#{x ≤ t}` of a nondecreasing stream of points `t` — the
+/// index `partition_point(|x| x <= t)` returns — from one binary search
+/// for the first point and a forward cursor after. The caller checks that
+/// the points do not decrease.
+struct RankCursor<'a> {
+    xs: &'a [f64],
+    j: usize,
+}
+
+impl<'a> RankCursor<'a> {
+    fn new(xs: &'a [f64], first: f64) -> Self {
+        RankCursor {
+            xs,
+            j: xs.partition_point(|&x| x <= first),
+        }
+    }
+
+    #[inline]
+    fn rank(&mut self, t: f64) -> usize {
+        while self.j < self.xs.len() && self.xs[self.j] <= t {
+            self.j += 1;
+        }
+        self.j
+    }
+}
+
+/// The one merge behind every product integral, advanced one window
+/// length at a time; with `MOMENT` it also accumulates the moment integral
+/// `D`, without it only `C` (the first-moment row skips that work). `B1`
+/// promises power `b = 1`, compiling the `powi` out of the loop.
+///
+/// The integrand is a step function whose breakpoints are sample values
+/// and sample values minus `shift`: a two-pointer merge walks both
+/// (already sorted) breakpoint streams directly off the sample array,
+/// counting crossings incrementally — no scratch vector, no per-segment
+/// binary search, and no `(x - shift) + shift` float round-trip (the
+/// crossing count *is* the step level, read off the step table). The
+/// running sums only ever advance over whole segments, which do not depend
+/// on the query; each query adds its own partial last segment. That is the
+/// arithmetic a separate merge per query would do, in the same order, so
+/// every answer is bit-identical to a fresh merge's, however many shorter
+/// windows the merge answered first. The next breakpoint of each stream
+/// and the current level are kept, not recomputed, so a query that crosses
+/// no breakpoint costs one comparison and one multiply-add.
+struct ProductMerge<'a, const MOMENT: bool, const B1: bool> {
+    xs: &'a [f64],
+    surv: &'a [f64],
+    b: u32,
+    shift: f64,
+    /// Cursors and step levels at once: for `u` in the current segment,
+    /// `#{x ≤ u} = i1` and `#{x ≤ u + shift} = i2`.
+    i1: usize,
+    i2: usize,
+    /// The breakpoints ending the current segment in each stream.
+    next1: f64,
+    next2: f64,
+    /// The integrand's value on the current segment.
+    level: f64,
+    /// `C` and `D` over `[0, lo)`.
+    c: f64,
+    d: f64,
+    lo: f64,
+    prev: f64,
+}
+
+impl<'a, const MOMENT: bool, const B1: bool> ProductMerge<'a, MOMENT, B1> {
+    fn new(e: &'a Ecdf, b: u32, shift: f64) -> Self {
+        debug_assert!(!B1 || b == 1, "B1 merge for power {b}");
+        let mut merge = ProductMerge {
+            xs: &e.xs,
+            surv: &e.surv,
+            b,
+            shift,
+            i1: e.xs.partition_point(|&x| x <= 0.0),
+            i2: e.xs.partition_point(|&x| x <= shift),
+            next1: 0.0,
+            next2: 0.0,
+            level: 0.0,
+            c: 0.0,
+            d: 0.0,
+            lo: 0.0,
+            prev: f64::NEG_INFINITY,
+        };
+        merge.next1 = merge.breakpoint(merge.i1, 0.0);
+        merge.next2 = merge.breakpoint(merge.i2, shift);
+        merge.level = merge.level_at();
+        merge
+    }
+
+    /// The breakpoint `xs[i] - shift` of a stream, `+∞` past its end.
+    #[inline]
+    fn breakpoint(&self, i: usize, shift: f64) -> f64 {
+        if i < self.xs.len() {
+            self.xs[i] - shift
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    /// The integrand's value at cursors `(i1, i2)`.
+    #[inline]
+    fn level_at(&self) -> f64 {
+        let p = self.surv[self.i1] * self.surv[self.i2];
+        if B1 || self.b == 1 {
+            p
+        } else {
+            p.powi(self.b as i32)
+        }
+    }
+
+    /// `(C, D)` over `[0, l)` (`D = 0` without `MOMENT`).
+    ///
+    /// # Panics
+    ///
+    /// If `l` is below the previous call's.
+    #[inline]
+    fn advance(&mut self, l: f64) -> (f64, f64) {
+        assert!(
+            l >= self.prev,
+            "window lengths must be nondecreasing, got {l} after {}",
+            self.prev
+        );
+        self.prev = l;
+        loop {
+            let hi = self.next1.min(self.next2);
+            if hi >= l {
+                break;
+            }
+            if hi > self.lo {
+                let v = self.level;
+                self.c += v * (hi - self.lo);
+                if MOMENT {
+                    self.d += v * 0.5 * (hi * hi - self.lo * self.lo);
+                }
+                self.lo = hi;
+            }
+            // advance past every breakpoint stream that produced `hi`
+            // (duplicated sample values step one index per pass, through
+            // zero-width segments that contribute nothing)
+            if self.next1 <= hi {
+                self.i1 += 1;
+                self.next1 = self.breakpoint(self.i1, 0.0);
+            }
+            if self.next2 <= hi {
+                self.i2 += 1;
+                self.next2 = self.breakpoint(self.i2, self.shift);
+            }
+            self.level = self.level_at();
+        }
+        // the partial last segment [lo, l); empty when l ≤ 0
+        if l > self.lo {
+            let v = self.level;
+            let d = if MOMENT {
+                self.d + v * 0.5 * (l * l - self.lo * self.lo)
+            } else {
+                0.0
+            };
+            (self.c + v * (l - self.lo), d)
+        } else {
+            (self.c, self.d)
+        }
     }
 }
 
@@ -965,6 +1122,32 @@ mod tests {
             }
         });
         assert_eq!(e.pow_cache.read().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn clones_carry_the_same_step_table() {
+        let e = random_ecdf(4, 150);
+        let n = e.n_total() as f64;
+        assert_eq!(e.surv.len(), e.n_body() + 1);
+        for (j, s) in e.surv.iter().enumerate() {
+            assert_eq!(s.to_bits(), (1.0 - j as f64 / n).to_bits(), "level {j}");
+        }
+        e.powered_survival_integrals(3, 700.0);
+        let c = e.clone();
+        assert_eq!(c.surv, e.surv);
+        assert!(std::ptr::eq(
+            c.power_tables(3).s.as_ptr(),
+            e.power_tables(3).s.as_ptr()
+        ));
+        let row = |e: &Ecdf, b: u32| {
+            let ts = [120.0, 123.5, 700.0, 20_000.0];
+            let (mut f, mut a, mut c) = ([0.0; 4], [0.0; 4], [0.0; 4]);
+            e.first_moment_row(b, 120.0, &ts, &mut f, &mut a, &mut c);
+            [f, a, c].map(|k| k.map(f64::to_bits))
+        };
+        for b in [1u32, 2, 3] {
+            assert_eq!(row(&c, b), row(&e, b), "b = {b}");
+        }
     }
 
     #[test]

@@ -19,9 +19,7 @@ mod grid;
 mod nelder_mead;
 
 pub use golden::golden_section;
-pub use grid::{
-    grid_min_1d, grid_min_2d, grid_min_2d_rows, refine_grid_1d, Constraint2d, GridSpec,
-};
+pub use grid::{grid_min_1d, grid_min_2d, grid_min_2d_rows, improves, refine_grid_1d, GridSpec};
 pub use nelder_mead::nelder_mead_2d;
 
 /// Result of a scalar minimisation: argument and value.

@@ -267,7 +267,7 @@ fn grid_min_2d_respects_feasibility() {
         let cy = rng.gen_range(1.0..9.0f64);
         let f = move |x: f64, y: f64| (x - cx).powi(2) + (y - cy).powi(2);
         let feas = |x: f64, y: f64| y >= x; // upper triangle
-        let m = grid_min_2d(f, (0.0, 10.0), (0.0, 10.0), 24, 6, &feas).unwrap();
+        let m = grid_min_2d(f, (0.0, 10.0), (0.0, 10.0), 24, 6, feas).unwrap();
         assert!(m.y >= m.x, "case {case}");
         // optimal value is the projection onto the feasible set
         let want = if cy >= cx {
@@ -387,11 +387,30 @@ fn ecdf_product_row_sweep_is_bit_identical_to_one_query() {
     }
 }
 
+/// `∫₀ᵗ (1-F̃)ᵇ` as it stood before the step tables, dividing out every
+/// level: the oracle the table lookups must match bit for bit.
+fn powered_integral_by_division(e: &Ecdf, b: u32, t: f64) -> f64 {
+    if t <= 0.0 {
+        return 0.0;
+    }
+    let xs = e.body();
+    let n = e.n_total() as f64;
+    let level = |j: usize| (1.0 - j as f64 / n).powi(b as i32);
+    let j = xs.partition_point(|&x| x <= t);
+    let (mut acc, mut lo) = (0.0, 0.0);
+    for (i, &x) in xs[..j].iter().enumerate() {
+        acc += level(i) * (x - lo);
+        lo = x;
+    }
+    let s = if b == 1 { 1.0 - j as f64 / n } else { level(j) };
+    acc + s * (t - lo)
+}
+
 #[test]
 fn ecdf_row_cursors_are_bit_identical_to_point_queries() {
     let mut rng = derived_rng(0x57A7, 19);
     for case in 0..CASES {
-        let mut xs = samples(&mut rng, 0.5, 9_000.0, 1, 40);
+        let mut xs = samples(&mut rng, 0.5, 9_000.0, 1, 200);
         for _ in 0..rng.gen_range(0..8usize) {
             let dup = xs[rng.gen_range(0..xs.len())];
             xs.push(dup);
@@ -399,36 +418,87 @@ fn ecdf_row_cursors_are_bit_identical_to_point_queries() {
         xs.extend(samples(&mut rng, 10_000.0, 30_000.0, 0, 6));
         let e = Ecdf::from_samples(&xs, 10_000.0).unwrap();
         let body = e.body();
-        // points below zero, between, exactly on (duplicated) samples and
-        // beyond the last one; a lone point takes the binary-search path
-        let mut ts = vec![-1.0, 0.0, body[body.len() - 1] + 5.0];
+        let last = body[body.len() - 1];
+        let shift = match rng.gen_range(0..3u32) {
+            0 => 0.0,
+            1 => body[rng.gen_range(0..body.len())],
+            _ => rng.gen_range(0.0..6_000.0f64),
+        };
+        // points with F̃ = 0 below the first sample, exactly on
+        // (duplicated) samples and on shifted samples, and beyond the last
+        // one; a lone point takes the binary-search path
+        let mut ts = vec![shift, 0.5 * body[0], last + 5.0, shift + last + 1.0];
         for _ in 0..rng.gen_range(0..16usize) {
             ts.push(rng.gen_range(0.0..10_000.0f64));
-            ts.push(body[rng.gen_range(0..body.len())]);
+            let x = body[rng.gen_range(0..body.len())];
+            ts.push(x);
+            ts.push(x + shift);
         }
+        ts.retain(|&t| t >= shift);
         ts.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let start = rng.gen_range(0..ts.len());
         let ts = &ts[start..];
-        let mut values = vec![f64::NAN; ts.len()];
-        e.value_row(ts, &mut values);
-        for (&t, &v) in ts.iter().zip(&values) {
-            assert_eq!(v.to_bits(), e.value(t).to_bits(), "case {case}: F̃({t})");
-        }
         for b in [1u32, 2, 3] {
-            let mut row = vec![(f64::NAN, f64::NAN); ts.len()];
-            e.powered_survival_integrals_row(b, ts, &mut row);
-            for (&t, &(a, m)) in ts.iter().zip(&row) {
-                let want = if b == 1 {
-                    // the plain integrals are separate point queries
-                    (e.survival_integral(t), e.moment_survival_integral(t))
-                } else {
-                    e.powered_survival_integrals(b, t)
-                };
-                assert_eq!(
-                    (a.to_bits(), m.to_bits()),
-                    (want.0.to_bits(), want.1.to_bits()),
-                    "case {case}, b = {b}, t = {t}"
-                );
+            let mut cdf = vec![f64::NAN; ts.len()];
+            let mut a = vec![f64::NAN; ts.len()];
+            let mut c = vec![f64::NAN; ts.len()];
+            e.first_moment_row(b, shift, ts, &mut cdf, &mut a, &mut c);
+            for (k, &t) in ts.iter().enumerate() {
+                let l = t - shift;
+                let at = format!("case {case}, b = {b}, shift = {shift}, t = {t}");
+                assert_eq!(cdf[k].to_bits(), e.value(t).to_bits(), "{at}: F̃");
+                let want_a = e.powered_survival_integrals(b, l).0;
+                assert_eq!(a[k].to_bits(), want_a.to_bits(), "{at}: A_b");
+                let by_division = powered_integral_by_division(&e, b, l);
+                assert_eq!(want_a.to_bits(), by_division.to_bits(), "{at}: A_b table");
+                if b == 1 {
+                    let plain = e.survival_integral(l);
+                    assert_eq!(want_a.to_bits(), plain.to_bits(), "{at}: A");
+                }
+                let want_c = e.powered_survival_product_integrals(b, shift, l).0;
+                let oracle = product_integrals_one_merge(&e, b, shift, l).0;
+                assert_eq!(c[k].to_bits(), want_c.to_bits(), "{at}: C_b");
+                assert_eq!(want_c.to_bits(), oracle.to_bits(), "{at}: C_b merge");
+            }
+        }
+    }
+}
+
+#[test]
+fn grid_min_2d_lets_any_number_displace_a_nan() {
+    let mut rng = derived_rng(0x57A7, 20);
+    for case in 0..CASES {
+        let (cx, cy) = (rng.gen_range(0.0..10.0f64), rng.gen_range(0.0..10.0f64));
+        let p_nan = rng.gen_range(0.0..0.9f64);
+        let salt = rng.gen::<u64>();
+        // NaN on a pseudo-random share of the plane, a bowl elsewhere
+        let f = move |x: f64, y: f64| {
+            let h = (x.to_bits() ^ y.to_bits().rotate_left(17) ^ salt)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            if ((h >> 11) as f64) < p_nan * (1u64 << 53) as f64 {
+                f64::NAN
+            } else {
+                (x - cx).powi(2) + (y - cy).powi(2)
+            }
+        };
+        let res = rng.gen_range(2..20usize);
+        let m = grid_min_2d(f, (0.0, 10.0), (0.0, 10.0), res, 4, |_, _| true).unwrap();
+        // the first round's grid alone holds a number whenever any of its
+        // points is one
+        let h = 10.0 / res as f64;
+        let any_number =
+            (0..=res).any(|i| (0..=res).any(|j| !f(i as f64 * h, j as f64 * h).is_nan()));
+        assert_eq!(!m.value.is_nan(), any_number, "case {case}");
+        if any_number {
+            for i in 0..=res {
+                for j in 0..=res {
+                    let v = f(i as f64 * h, j as f64 * h);
+                    assert!(
+                        v.is_nan() || m.value <= v,
+                        "case {case}: {v} beats {}",
+                        m.value
+                    );
+                }
             }
         }
     }
@@ -522,9 +592,9 @@ fn grid_min_2d_rows_is_bit_identical_to_pointwise_scan() {
             (0.0, 10.0),
             res,
             rounds,
-            &feas,
+            feas,
         );
-        let wrapper = grid_min_2d(f, (0.0, 10.0), (0.0, 10.0), res, rounds, &feas);
+        let wrapper = grid_min_2d(f, (0.0, 10.0), (0.0, 10.0), res, rounds, feas);
         let bits = |m: Option<Min2d>| m.map(|m| [m.x, m.y, m.value].map(f64::to_bits));
         assert_eq!(bits(rows), bits(want), "case {case}: rows vs pointwise");
         assert_eq!(

@@ -65,6 +65,7 @@ fn main() {
         vec![40],
         vec![GridScenario::baseline()],
     )
+    .expect("valid burst scan")
     .run();
     for cell in &scan {
         println!(
@@ -120,7 +121,8 @@ fn main() {
             GridScenario::baseline(),
             GridScenario::new("slow+faulty", 2.0, 1.5),
         ],
-    );
+    )
+    .expect("valid fleet sweep");
     println!(
         "fleet sweep: {} cells ({} community runs total)\n",
         sweep.n_cells(),
