@@ -64,6 +64,7 @@ fn trajectory_sweep(trials: usize) -> ScenarioSweep {
             seed: 0xBE7C,
         },
     )
+    .expect("valid trajectory sweep")
 }
 
 fn bench_sweep_throughput(c: &mut Criterion) {
@@ -98,7 +99,8 @@ fn bench_sweep_single_cell_overhead(c: &mut Criterion) {
         vec![StrategyParams::Single { t_inf: 700.0 }],
         WeekId::W2006Ix,
         cfg,
-    );
+    )
+    .expect("valid one-cell sweep");
     g.bench_function("one_cell_sweep_500_trials", |b| {
         b.iter(|| black_box(sweep.run()))
     });

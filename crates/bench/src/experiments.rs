@@ -646,6 +646,7 @@ pub fn npar_ablation(seed: u64) -> Vec<Table> {
             seed: seed ^ 0xAB1,
         },
     )
+    .expect("tuned delayed pairs are feasible")
     .run();
 
     let mut t = Table::new(
@@ -711,7 +712,8 @@ pub fn scenario_sweep(seed: u64) -> Vec<Table> {
             trials: 2_000,
             seed: seed ^ 0x5EE9,
         },
-    );
+    )
+    .expect("valid scenario sweep");
     let mut t = Table::new(
         format!(
             "Extension F — scenario sweep ({} cells × {} trials): strategies tuned on 2006-IX",

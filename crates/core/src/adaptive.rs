@@ -35,7 +35,9 @@
 use crate::cost::StrategyParams;
 use crate::latency::{LatencyModel, ParametricModel};
 use crate::strategy::Strategy;
-use gridstrat_sim::{Controller, GridConfig, GridSimulation, Modulation, Notification, Owner};
+use gridstrat_sim::{
+    Controller, GridConfig, GridSimulation, JobRecord, Modulation, Notification, Owner,
+};
 use gridstrat_stats::rng::derive_seed;
 use gridstrat_stats::StreamingEcdf;
 use gridstrat_workload::{DiurnalModel, WeekModel};
@@ -181,6 +183,34 @@ pub fn timeout_of(p: StrategyParams) -> f64 {
 /// snapshot ECDF's outlier mass for every multi-copy family.
 pub fn is_timeout_censored(waited: f64, t_inf: f64) -> bool {
     waited >= 0.999 * t_inf
+}
+
+/// Feeds one task's per-job outcomes to its user's estimator: the exact
+/// latency of every started job and, for abandoned jobs, only the waits
+/// that [`is_timeout_censored`] counts as evidence under the task's
+/// timeout `t_inf`. `jobs` are the engine records from the task's launch
+/// on (other owners' records are skipped); a job still pending is taken
+/// to have waited until `now`.
+#[inline]
+pub fn observe_task(
+    est: &mut StreamingEcdf,
+    jobs: &[JobRecord],
+    owner: Owner,
+    t_inf: f64,
+    now: f64,
+) {
+    for rec in jobs.iter().filter(|rec| rec.is_client_of(owner)) {
+        match rec.started_at {
+            Some(st) => est.observe_started(st.since(rec.submitted_at).as_secs()),
+            None => {
+                let end = rec.terminated_at.map_or(now, |t| t.as_secs());
+                let waited = (end - rec.submitted_at.as_secs()).max(0.0);
+                if is_timeout_censored(waited, t_inf) {
+                    est.observe_censored(waited);
+                }
+            }
+        }
+    }
 }
 
 /// Scales every timeout of a strategy by `factor`, capping `t∞` at
@@ -607,30 +637,13 @@ fn run_sequence(
         }
 
         if let Some(state) = adapt.as_mut() {
-            // feed the adaptive user's own per-job observations: exact
-            // latency for started jobs; for abandoned jobs, only waits
-            // that reached the timeout count as censoring evidence —
-            // copies cancelled early because the task already won are
-            // protocol cleanup, not information about the latency law
-            let now = sim.now().as_secs();
-            let t_inf = timeout_of(params);
-            for rec in &sim.jobs()[job_floor..] {
-                if !rec.is_client_of(owner) {
-                    continue;
-                }
-                match rec.started_at {
-                    Some(st) => state
-                        .estimator
-                        .observe_started(st.since(rec.submitted_at).as_secs()),
-                    None => {
-                        let end = rec.terminated_at.map_or(now, |t| t.as_secs());
-                        let waited = (end - rec.submitted_at.as_secs()).max(0.0);
-                        if is_timeout_censored(waited, t_inf) {
-                            state.estimator.observe_censored(waited);
-                        }
-                    }
-                }
-            }
+            observe_task(
+                &mut state.estimator,
+                &sim.jobs()[job_floor..],
+                owner,
+                timeout_of(params),
+                sim.now().as_secs(),
+            );
             if (task + 1).is_multiple_of(state.config.retune_every) && task + 1 < n_tasks {
                 let next = match state.policy.as_ref() {
                     // scale tracking: invert the observed decayed task-

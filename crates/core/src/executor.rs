@@ -1,5 +1,5 @@
 //! Monte-Carlo execution of the strategies against the discrete-event grid,
-//! and the batched scenario sweep.
+//! the batched scenario sweep, and the replicated-cell driver both run on.
 //!
 //! Each closed form in this crate is validated by actually *running* the
 //! corresponding client-side protocol against [`gridstrat_sim`]: a
@@ -15,10 +15,11 @@
 //! * [`StrategyExecutor`] — many trials of **one** strategy on **one**
 //!   latency law (the validation workhorse);
 //! * [`ScenarioSweep`] — a (strategy × week × grid-scenario) grid evaluated
-//!   in **one** parallel pass. Every cell gets its own RNG stream via
-//!   `derive_seed(master, cell)` and trials within a cell use
-//!   `derive_seed(cell_seed, trial)`, and results are aggregated in index
-//!   order — so the entire sweep is **bit-identical for any thread count**.
+//!   in **one** parallel pass.
+//!
+//! Both are cells × replications run through [`replicate`], which owns the
+//! seed layout, per-worker engine reuse and index-order aggregation — so
+//! every result is **bit-identical for any thread count**.
 
 use crate::cost::StrategyParams;
 use crate::latency::ParametricModel;
@@ -81,63 +82,97 @@ pub struct MonteCarloEstimate {
     pub completed_trials: usize,
 }
 
-/// Reusable per-worker trial state: one engine and one controller, both
-/// rewound in place between trials so the hot loop never touches the
-/// allocator. Workers obtain one lazily through [`TrialWorker::obtain`]
-/// from a `map_init` scratch slot.
+/// A replicated unit of work for [`replicate`]: built for one cell, then
+/// rewound in place for each further replication of that cell.
+///
+/// `rewind(seed)` must leave the worker in exactly the state
+/// `build(cell, seed)` constructs, so whether a replication ran on a fresh
+/// or a reused worker is unobservable.
+pub trait Worker<C> {
+    /// What one replication produces.
+    type Output: Send;
+
+    /// Constructs a worker for `cell`, primed for the replication seeded
+    /// `seed`.
+    fn build(cell: &C, seed: u64) -> Self;
+
+    /// Primes the worker for another replication of its own cell.
+    fn rewind(&mut self, seed: u64);
+
+    /// Runs the primed replication.
+    fn run(&mut self) -> Self::Output;
+}
+
+/// Runs `reps` replications of every cell in one rayon pass and returns
+/// the outputs cell-major: replication `r` of cell `c` is at
+/// `c·reps + r` and is seeded `derive_seed(cell_seed(c), r)`.
+///
+/// The flat (cell × replication) index space is split over the pool as a
+/// whole, so small grids still saturate the machine. Each pool job keeps
+/// one worker, rewinds it while its chunk stays in the same cell and
+/// rebuilds it when the chunk crosses into another, so a worker is never
+/// reused for a different cell. With [`Worker::rewind`] ≡
+/// [`Worker::build`], the outputs are **bit-identical for any thread
+/// count**.
+pub fn replicate<C: Sync, W: Worker<C>>(
+    cells: &[C],
+    reps: usize,
+    cell_seed: impl Fn(usize) -> u64,
+) -> Vec<W::Output> {
+    let seeds: Vec<u64> = (0..cells.len()).map(cell_seed).collect();
+    (0..cells.len() * reps)
+        .into_par_iter()
+        .map_init(
+            || None::<(usize, W)>,
+            |slot, k| {
+                let cell = k / reps;
+                let seed = derive_seed(seeds[cell], (k % reps) as u64);
+                match slot {
+                    Some((c, worker)) if *c == cell => worker.rewind(seed),
+                    _ => *slot = Some((cell, W::build(&cells[cell], seed))),
+                }
+                slot.as_mut().expect("worker just installed").1.run()
+            },
+        )
+        .collect()
+}
+
+/// One Monte-Carlo cell: a strategy on a grid.
+struct TrialCell<'a> {
+    grid: Arc<GridConfig>,
+    strategy: &'a dyn Strategy,
+}
+
+/// Reusable trial state: one engine and one controller, both rewound in
+/// place between trials so the hot loop never touches the allocator.
 struct TrialWorker {
     sim: GridSimulation,
     ctrl: Box<dyn StrategyController>,
-    /// Identity of the `(grid, strategy)` pair this worker was built for —
-    /// reusing it for a different pair would silently drive the wrong
-    /// protocol, so `obtain` guards against that in debug builds.
-    #[cfg(debug_assertions)]
-    built_for: (Arc<GridConfig>, StrategyParams),
 }
 
-impl TrialWorker {
-    /// Returns the slot's worker primed for a `(grid, strategy, seed)`
-    /// trial: the first call constructs engine + controller, later calls
-    /// rewind them in place. Engine `reset` and controller `reset` are
-    /// bit-exact, so whether a trial ran on a fresh or a reused worker is
-    /// unobservable — the property that keeps sweep results identical
-    /// across thread counts (chunk boundaries decide reuse patterns).
-    fn obtain<'s>(
-        slot: &'s mut Option<TrialWorker>,
-        grid: &Arc<GridConfig>,
-        strategy: &dyn Strategy,
-        seed: u64,
-    ) -> &'s mut TrialWorker {
-        match slot {
-            Some(worker) => {
-                #[cfg(debug_assertions)]
-                {
-                    debug_assert!(
-                        Arc::ptr_eq(&worker.built_for.0, grid)
-                            && worker.built_for.1 == strategy.params(),
-                        "TrialWorker reused for a different (grid, strategy) pair"
-                    );
-                }
-                worker.sim.reset(seed);
-                worker.ctrl.reset();
-            }
-            None => {
-                *slot = Some(TrialWorker {
-                    sim: GridSimulation::new(Arc::clone(grid), seed)
-                        .expect("executor grid configs are always valid"),
-                    ctrl: strategy.build_controller(),
-                    #[cfg(debug_assertions)]
-                    built_for: (Arc::clone(grid), strategy.params()),
-                });
-            }
+/// `build` and `run` are `#[inline]` so the trial kernel is compiled into
+/// the driver's per-trial loop rather than called from it.
+impl Worker<TrialCell<'_>> for TrialWorker {
+    /// `(J, submissions, parallel-average)`, or `None` if no job started
+    /// before the horizon.
+    type Output = Option<(f64, f64, f64)>;
+
+    #[inline]
+    fn build(cell: &TrialCell<'_>, seed: u64) -> Self {
+        TrialWorker {
+            sim: GridSimulation::new(Arc::clone(&cell.grid), seed)
+                .expect("executor grid configs are always valid"),
+            ctrl: cell.strategy.build_controller(),
         }
-        slot.as_mut().expect("worker just installed")
     }
 
-    /// One trial on the primed engine: returns
-    /// `(J, submissions, parallel-average)`, or `None` if no job started
-    /// before the horizon. The shared kernel of both executors.
-    fn run(&mut self) -> Option<(f64, f64, f64)> {
+    fn rewind(&mut self, seed: u64) {
+        self.sim.reset(seed);
+        self.ctrl.reset();
+    }
+
+    #[inline]
+    fn run(&mut self) -> Self::Output {
         let sim = &mut self.sim;
         sim.run_controller(self.ctrl.as_mut());
         let j = self.ctrl.total_latency()?;
@@ -240,24 +275,20 @@ impl StrategyExecutor {
 
     /// Runs `trials` independent executions of the strategy and aggregates.
     ///
-    /// Trials execute on the rayon pool but are aggregated in trial order,
-    /// so the estimate is **bit-identical** for any thread count. Each
-    /// worker thread reuses one engine + controller across all its trials
-    /// (`map_init` scratch), so the per-trial cost is the protocol itself,
-    /// not allocator traffic.
+    /// One cell of [`replicate`] seeded `config.seed`: trial `k` uses
+    /// `derive_seed(seed, k)`, workers reuse one engine + controller, and
+    /// trials are aggregated in trial order, so the estimate is
+    /// **bit-identical** for any thread count.
     pub fn run_strategy(&self, strategy: &dyn Strategy) -> MonteCarloEstimate {
-        let grid = &self.grid;
-        let outcomes: Vec<Option<(f64, f64, f64)>> = (0..self.config.trials)
-            .into_par_iter()
-            .map_init(
-                || None::<TrialWorker>,
-                |slot, trial| {
-                    let seed = derive_seed(self.config.seed, trial as u64);
-                    TrialWorker::obtain(slot, grid, strategy, seed).run()
-                },
-            )
-            .collect();
-        aggregate(outcomes)
+        let cell = TrialCell {
+            grid: Arc::clone(&self.grid),
+            strategy,
+        };
+        aggregate(replicate::<_, TrialWorker>(
+            &[cell],
+            self.config.trials,
+            |_| self.config.seed,
+        ))
     }
 
     /// Convenience wrapper over [`StrategyExecutor::run_strategy`] for
@@ -380,10 +411,8 @@ pub struct ScenarioOutcome {
 /// rayon pass.
 ///
 /// Cells are laid out strategy-major
-/// (`cell = (s·|weeks| + w)·|scenarios| + g`); the flat (cell × trial)
-/// index space is distributed over the thread pool as a whole, so small
-/// sweeps still saturate the machine and wall-clock is bounded by total
-/// work, not by the slowest cell.
+/// (`cell = (s·|weeks| + w)·|scenarios| + g`) and run through
+/// [`replicate`] with `cell_seed = derive_seed(seed, cell)`.
 #[derive(Debug, Clone)]
 pub struct ScenarioSweep {
     /// Strategy instances to evaluate (plain-data form).
@@ -397,35 +426,45 @@ pub struct ScenarioSweep {
 }
 
 impl ScenarioSweep {
-    /// Builds a sweep; every axis must be non-empty.
+    /// Builds a sweep. Errors when an axis is empty, there are no trials,
+    /// or a delayed strategy has an infeasible `(t0, t∞)` pair.
     pub fn new(
         strategies: Vec<StrategyParams>,
         weeks: Vec<WeekId>,
         scenarios: Vec<GridScenario>,
         config: MonteCarloConfig,
-    ) -> Self {
-        assert!(!strategies.is_empty(), "sweep needs at least one strategy");
-        assert!(!weeks.is_empty(), "sweep needs at least one week");
-        assert!(!scenarios.is_empty(), "sweep needs at least one scenario");
-        assert!(config.trials > 0, "sweep needs at least one trial per cell");
+    ) -> Result<Self, String> {
+        if strategies.is_empty() {
+            return Err("sweep needs at least one strategy".into());
+        }
+        if weeks.is_empty() {
+            return Err("sweep needs at least one week".into());
+        }
+        if scenarios.is_empty() {
+            return Err("sweep needs at least one scenario".into());
+        }
+        if config.trials == 0 {
+            return Err("sweep needs at least one trial per cell".into());
+        }
         // executing an infeasible delayed pair would panic mid-run inside a
         // worker thread; reject it here with a pointed message instead
         for (i, s) in strategies.iter().enumerate() {
             if let StrategyParams::Delayed { t0, t_inf }
             | StrategyParams::DelayedMultiple { t0, t_inf, .. } = *s
             {
-                assert!(
-                    crate::strategy::DelayedResubmission::feasible(t0, t_inf),
-                    "sweep strategy {i}: infeasible delayed pair ({t0}, {t_inf})"
-                );
+                if !crate::strategy::DelayedResubmission::feasible(t0, t_inf) {
+                    return Err(format!(
+                        "sweep strategy {i}: infeasible delayed pair ({t0}, {t_inf})"
+                    ));
+                }
             }
         }
-        ScenarioSweep {
+        Ok(ScenarioSweep {
             strategies,
             weeks,
             scenarios,
             config,
-        }
+        })
     }
 
     /// A single-week, baseline-scenario sweep over `strategies` — the most
@@ -434,7 +473,7 @@ impl ScenarioSweep {
         strategies: Vec<StrategyParams>,
         week: WeekId,
         config: MonteCarloConfig,
-    ) -> Self {
+    ) -> Result<Self, String> {
         ScenarioSweep::new(
             strategies,
             vec![week],
@@ -456,82 +495,49 @@ impl ScenarioSweep {
     /// Evaluates the whole grid in one parallel pass.
     ///
     /// Returns one outcome per cell, in cell order. Bit-identical for any
-    /// thread count: per-trial RNGs are derived from
-    /// `(derive_seed(seed, cell), trial)` and aggregation runs in index
-    /// order on the calling thread.
+    /// thread count.
     pub fn run(&self) -> Vec<ScenarioOutcome> {
-        struct CellPlan {
-            strategy: StrategyParams,
-            week: WeekId,
-            scenario: String,
-            grid: Arc<GridConfig>,
-            seed: u64,
-        }
-
         let trials = self.config.trials;
-        let mut plans = Vec::with_capacity(self.n_cells());
-        let mut analytic = Vec::with_capacity(self.n_cells());
+        let mut cells = Vec::with_capacity(self.n_cells());
+        let mut labels = Vec::with_capacity(self.n_cells());
         for strategy in &self.strategies {
             for &week in &self.weeks {
                 let base = week.model();
                 for scenario in &self.scenarios {
                     let model = scenario.apply(&base);
-                    let cell = plans.len() as u64;
-                    // closed forms on the scenario-adjusted parametric law
-                    // (evaluated once; N_// is derived from the expectation)
+                    // closed form on the scenario-adjusted parametric law
                     let reference =
                         ParametricModel::new(model.body(), model.rho, model.threshold_s)
                             .expect("scenario-adjusted models stay valid");
-                    let e = strategy.expected_j(&reference);
-                    analytic.push((e, strategy.n_parallel_for(e)));
-                    plans.push(CellPlan {
-                        strategy: *strategy,
+                    labels.push((
+                        *strategy,
                         week,
-                        scenario: scenario.name.clone(),
+                        &scenario.name,
+                        strategy.expected_j(&reference),
+                    ));
+                    cells.push(TrialCell {
                         grid: Arc::new(GridConfig::oracle(model)),
-                        seed: derive_seed(self.config.seed, cell),
+                        strategy,
                     });
                 }
             }
         }
 
-        let total = plans.len() * trials;
-        let plans_ref = &plans;
-        // the flat (cell × trial) index space is chunked over the pool;
-        // each worker keeps one engine + controller alive and rewinds them
-        // per trial, rebuilding only when its chunk crosses into a cell
-        // with a different grid/strategy
-        let outcomes: Vec<Option<(f64, f64, f64)>> = (0..total)
-            .into_par_iter()
-            .map_init(
-                || None::<(usize, Option<TrialWorker>)>,
-                move |state, k| {
-                    let cell = k / trials;
-                    let plan = &plans_ref[cell];
-                    let trial = (k % trials) as u64;
-                    let seed = derive_seed(plan.seed, trial);
-                    match state {
-                        Some((c, _)) if *c == cell => {}
-                        _ => *state = Some((cell, None)),
-                    }
-                    let (_, slot) = state.as_mut().expect("cell slot just installed");
-                    TrialWorker::obtain(slot, &plan.grid, &plan.strategy, seed).run()
-                },
-            )
-            .collect();
-
-        plans
-            .iter()
-            .zip(analytic)
+        let runs = replicate::<_, TrialWorker>(&cells, trials, |c| {
+            derive_seed(self.config.seed, c as u64)
+        });
+        labels
+            .into_iter()
             .enumerate()
             .map(
-                |(c, (plan, (analytic_e_j, analytic_n_parallel)))| ScenarioOutcome {
-                    strategy: plan.strategy,
-                    week: plan.week,
-                    scenario: plan.scenario.clone(),
+                |(c, (strategy, week, scenario, analytic_e_j))| ScenarioOutcome {
+                    strategy,
+                    week,
+                    scenario: scenario.clone(),
                     analytic_e_j,
-                    analytic_n_parallel,
-                    estimate: aggregate(outcomes[c * trials..(c + 1) * trials].iter().copied()),
+                    // N_// is derived from the expectation
+                    analytic_n_parallel: strategy.n_parallel_for(analytic_e_j),
+                    estimate: aggregate(runs[c * trials..(c + 1) * trials].iter().copied()),
                 },
             )
             .collect()
@@ -1080,6 +1086,7 @@ mod tests {
             ],
             MonteCarloConfig { trials, seed },
         )
+        .expect("valid sweep")
     }
 
     #[test]
@@ -1112,6 +1119,7 @@ mod tests {
                 seed: 0xCE11,
             },
         )
+        .expect("valid sweep")
         .run();
         for cell in &out {
             let z = (cell.estimate.mean_j - cell.analytic_e_j).abs() / cell.estimate.stderr_j;
@@ -1141,6 +1149,7 @@ mod tests {
                 seed: 5,
             },
         )
+        .expect("valid sweep")
         .run();
         // slower grid and faultier grid both push E_J up
         assert!(
@@ -1297,13 +1306,122 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one strategy")]
-    fn sweep_rejects_empty_axes() {
-        ScenarioSweep::new(
-            vec![],
-            vec![WeekId::W2006Ix],
-            vec![GridScenario::baseline()],
-            MonteCarloConfig::default(),
-        );
+    fn sweep_rejects_invalid_shapes_with_errors() {
+        let single = || vec![StrategyParams::Single { t_inf: 700.0 }];
+        let weeks = || vec![WeekId::W2006Ix];
+        let base = || vec![GridScenario::baseline()];
+        let cfg = MonteCarloConfig::default();
+        assert!(ScenarioSweep::new(single(), weeks(), base(), cfg).is_ok());
+        let infeasible = vec![StrategyParams::Delayed {
+            t0: 400.0,
+            t_inf: 900.0,
+        }];
+        for (what, sweep, needle) in [
+            (
+                "no strategy",
+                ScenarioSweep::new(vec![], weeks(), base(), cfg),
+                "strategy",
+            ),
+            (
+                "no week",
+                ScenarioSweep::new(single(), vec![], base(), cfg),
+                "week",
+            ),
+            (
+                "no scenario",
+                ScenarioSweep::new(single(), weeks(), vec![], cfg),
+                "scenario",
+            ),
+            (
+                "no trial",
+                ScenarioSweep::new(
+                    single(),
+                    weeks(),
+                    base(),
+                    MonteCarloConfig { trials: 0, seed: 1 },
+                ),
+                "trial",
+            ),
+            (
+                "infeasible delayed pair",
+                ScenarioSweep::over_strategies(infeasible, WeekId::W2006Ix, cfg),
+                "infeasible",
+            ),
+        ] {
+            let err = sweep.expect_err(what);
+            assert!(err.contains(needle), "{what}: {err}");
+        }
+    }
+
+    // --- replicated-cell driver ----------------------------------------------
+
+    /// Reports `(cell, seed, built)`: `built` is true on a fresh worker and
+    /// false on a rewound one.
+    struct Echo {
+        cell: usize,
+        seed: u64,
+        built: bool,
+    }
+
+    impl Worker<usize> for Echo {
+        type Output = (usize, u64, bool);
+
+        fn build(cell: &usize, seed: u64) -> Self {
+            Echo {
+                cell: *cell,
+                seed,
+                built: true,
+            }
+        }
+
+        fn rewind(&mut self, seed: u64) {
+            self.seed = seed;
+            self.built = false;
+        }
+
+        fn run(&mut self) -> Self::Output {
+            (self.cell, self.seed, self.built)
+        }
+    }
+
+    fn echo_with(threads: usize, cells: &[usize], reps: usize) -> Vec<(usize, u64, bool)> {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool")
+            .install(|| replicate::<_, Echo>(cells, reps, |c| 1_000 + c as u64))
+    }
+
+    #[test]
+    fn replicate_is_cell_major_with_derived_seeds() {
+        let cells = [10usize, 11, 12, 13];
+        let reps = 5;
+        let out = echo_with(1, &cells, reps);
+        assert_eq!(out.len(), cells.len() * reps);
+        for (k, &(cell, seed, _)) in out.iter().enumerate() {
+            let (c, r) = (k / reps, k % reps);
+            assert_eq!(cell, cells[c], "output {k} is not cell-major");
+            assert_eq!(seed, derive_seed(1_000 + c as u64, r as u64));
+        }
+        // one thread: one build per cell, every other replication rewinds
+        let builds: Vec<bool> = out.iter().map(|&(_, _, built)| built).collect();
+        let expected: Vec<bool> = (0..out.len()).map(|k| k % reps == 0).collect();
+        assert_eq!(builds, expected);
+    }
+
+    #[test]
+    fn replicate_outputs_do_not_depend_on_thread_count() {
+        let cells: Vec<usize> = (0..7).collect();
+        let strip = |v: Vec<(usize, u64, bool)>| -> Vec<(usize, u64)> {
+            v.into_iter().map(|(c, s, _)| (c, s)).collect()
+        };
+        let one = strip(echo_with(1, &cells, 9));
+        for threads in [3, 7] {
+            // a worker rewound into another cell would report its old cell
+            let out = strip(echo_with(threads, &cells, 9));
+            assert_eq!(out, one, "{threads} threads diverged");
+        }
+        assert!(echo_with(3, &[], 9).is_empty());
+        assert!(echo_with(3, &cells, 0).is_empty());
     }
 }

@@ -197,29 +197,16 @@ impl FleetController {
         if agent.tasks_done == self.tasks_per_user {
             self.finished_users += 1;
         }
-        // adaptive users: harvest this task's own per-job outcomes (exact
-        // latency for started jobs; abandoned waits only count as
-        // censoring evidence when they reached the timeout — copies
-        // cancelled early because the task won are protocol cleanup) and
+        // adaptive users: harvest this task's own per-job outcomes and
         // re-tune every `retune_every` completed tasks
         if let (Some(cfg), Some(est)) = (agent.assignment.adaptive, agent.estimator.as_mut()) {
-            let now = sim.now().as_secs();
-            let t_inf = gridstrat_core::adaptive::timeout_of(agent.params);
-            for rec in &sim.jobs()[agent.task_job_floor..] {
-                if !rec.is_client_of(owner) {
-                    continue;
-                }
-                match rec.started_at {
-                    Some(st) => est.observe_started(st.since(rec.submitted_at).as_secs()),
-                    None => {
-                        let end = rec.terminated_at.map_or(now, |t| t.as_secs());
-                        let waited = (end - rec.submitted_at.as_secs()).max(0.0);
-                        if gridstrat_core::adaptive::is_timeout_censored(waited, t_inf) {
-                            est.observe_censored(waited);
-                        }
-                    }
-                }
-            }
+            gridstrat_core::adaptive::observe_task(
+                est,
+                &sim.jobs()[agent.task_job_floor..],
+                owner,
+                gridstrat_core::adaptive::timeout_of(agent.params),
+                sim.now().as_secs(),
+            );
             if more && agent.tasks_done.is_multiple_of(cfg.retune_every) {
                 let next = gridstrat_core::adaptive::retune_params(agent.params, est, &cfg);
                 if next != agent.params {

@@ -18,19 +18,18 @@
 //! by more than `tolerance` (an approximate Nash equilibrium) or after
 //! `max_iterations`.
 //!
-//! Everything is seeded from `(master, iteration, candidate, replication)`
-//! via `derive_seed`, and replications are aggregated in index order, so a
-//! search is **bit-identical for any thread count**.
+//! Each iteration's configurations are the cells of one
+//! [`replicate`] pass seeded `derive_seed(iteration_seed, configuration)`,
+//! so a search is **bit-identical for any thread count**.
 
 use crate::agent::Assignment;
 use crate::mix::FleetConfig;
-use crate::sweep::FleetWorker;
+use crate::sweep::{FleetCell, FleetWorker};
 use gridstrat_core::cost::StrategyParams;
-use gridstrat_core::executor::GridScenario;
+use gridstrat_core::executor::{replicate, GridScenario};
 use gridstrat_sim::GridConfig;
 use gridstrat_stats::rng::derive_seed;
 use gridstrat_stats::Summary;
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Configuration of a best-response search.
@@ -209,24 +208,26 @@ impl BestResponseSearch {
             .collect();
         // configuration 0 = population only; configuration 1 + d = probe
         // user appended playing candidate d
-        let runs: Vec<crate::metrics::FleetRun> = (0..(1 + k) * reps)
-            .into_par_iter()
-            .map_init(Vec::<Assignment>::new, |scratch, j| {
-                let config_idx = j / reps;
-                let rep = (j % reps) as u64;
-                let rep_seed = derive_seed(derive_seed(iter_seed, config_idx as u64), rep);
-                scratch.clear();
-                scratch.extend_from_slice(&population);
+        let configurations: Vec<FleetCell<'_>> = (0..=k)
+            .map(|config_idx| {
+                let mut assignments = population.clone();
                 if config_idx > 0 {
-                    scratch.push(Assignment {
+                    assignments.push(Assignment {
                         strategy: self.candidates[config_idx - 1],
                         group: config_idx - 1,
                         adaptive: None,
                     });
                 }
-                FleetWorker::build(grid, scratch, &self.fleet, rep_seed).run()
+                FleetCell {
+                    grid: Arc::clone(grid),
+                    assignments,
+                    config: &self.fleet,
+                }
             })
             .collect();
+        let runs = replicate::<_, FleetWorker>(&configurations, reps, |config_idx| {
+            derive_seed(iter_seed, config_idx as u64)
+        });
 
         let incumbent_latency: Vec<f64> = (0..k)
             .map(|c| {

@@ -30,19 +30,17 @@
 //!   [`crate::run_cell`]: same seeds, same code path, no epoch stepping.
 //! * Any fixed shard count ⇒ bit-identical across thread counts and
 //!   across per-worker engine reuse: shards within a replication run
-//!   sequentially in shard order; rayon parallelism stays at the
-//!   replication level with index-derived seeds.
+//!   sequentially in shard order; replications run as one cell of
+//!   [`replicate`].
 //!
 //! [`FleetController`]: crate::FleetController
 
-use crate::agent::Assignment;
 use crate::metrics::{FleetCellOutcome, FleetRun};
 use crate::mix::{apportion, FleetConfig, StrategyMix};
-use crate::sweep::FleetWorker;
-use gridstrat_core::executor::GridScenario;
-use gridstrat_sim::{Controller, GridConfig, SimDuration, SimTime};
+use crate::sweep::{FleetCell, FleetWorker};
+use gridstrat_core::executor::{replicate, GridScenario, Worker};
+use gridstrat_sim::{Controller, SimDuration, SimTime};
 use gridstrat_stats::rng::derive_seed;
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Engine seed of shard `k` within a replication seeded `rep_seed`.
@@ -85,16 +83,19 @@ pub struct ShardedFleet {
 
 /// Per-shard instantiation of a sharded cell: grids, populations and slot
 /// counts, shared by every replication.
-struct ShardPlan {
-    grids: Vec<Arc<GridConfig>>,
-    assignments: Vec<Vec<Assignment>>,
+struct ShardPlan<'a> {
+    fleet: &'a ShardedFleet,
+    cells: Vec<FleetCell<'a>>,
     slots: Vec<usize>,
     horizon_s: f64,
 }
 
-/// Reusable per-worker state: one [`FleetWorker`] per shard, seeded through
+/// One replication's state: a [`FleetWorker`] per shard, seeded through
 /// [`shard_seed`] and rewound in place between replications.
-type ShardWorkers = Vec<FleetWorker>;
+struct ShardWorkers<'a> {
+    plan: &'a ShardPlan<'a>,
+    shards: Vec<FleetWorker>,
+}
 
 impl ShardedFleet {
     /// Builds a sharded community with the default coupling (1-hour
@@ -198,15 +199,19 @@ impl ShardedFleet {
     }
 
     /// Builds the per-shard grids and populations.
-    fn plan(&self) -> ShardPlan {
+    fn plan(&self) -> ShardPlan<'_> {
         let base = self.scenario.apply_grid(&self.config.grid);
         if self.shards == 1 {
             // the unsharded fast path must see the *identical* grid a
             // plain fleet run would (no rebuild round-trips)
             return ShardPlan {
+                fleet: self,
                 horizon_s: base.horizon.as_secs(),
-                grids: vec![Arc::new(base)],
-                assignments: vec![self.mix.assignments(self.users)],
+                cells: vec![FleetCell {
+                    grid: Arc::new(base),
+                    assignments: self.mix.assignments(self.users),
+                    config: &self.config,
+                }],
                 slots: vec![self.config.grid.sites.iter().map(|s| s.slots).sum()],
             };
         }
@@ -220,8 +225,7 @@ impl ShardedFleet {
             .collect();
         let total_slots: usize = base.sites.iter().map(|s| s.slots).sum();
         let horizon_s = base.horizon.as_secs();
-        let mut grids = Vec::with_capacity(self.shards);
-        let mut assignments = Vec::with_capacity(self.shards);
+        let mut cells = Vec::with_capacity(self.shards);
         let mut slots = Vec::with_capacity(self.shards);
         for k in 0..self.shards {
             let mut grid = base.clone();
@@ -246,31 +250,78 @@ impl ShardedFleet {
             if let Some(bg) = &mut grid.background {
                 bg.arrival_rate_per_s *= shard_slots as f64 / total_slots as f64;
             }
-            grids.push(Arc::new(grid));
-            assignments.push(self.mix.assignments(user_counts[k]));
+            cells.push(FleetCell {
+                grid: Arc::new(grid),
+                assignments: self.mix.assignments(user_counts[k]),
+                config: &self.config,
+            });
             slots.push(shard_slots);
         }
         ShardPlan {
-            grids,
-            assignments,
+            fleet: self,
+            cells,
             slots,
             horizon_s,
         }
     }
 
-    fn build_workers(&self, plan: &ShardPlan, rep_seed: u64) -> ShardWorkers {
-        (0..self.shards)
-            .map(|k| {
-                let seed = shard_seed(rep_seed, k);
-                FleetWorker::build(&plan.grids[k], &plan.assignments[k], &self.config, seed)
-            })
-            .collect()
+    /// Runs one replication from scratch (no worker reuse) — the
+    /// deterministic single-run entry point tests and examples use.
+    pub fn run_replication(&self, rep: usize) -> FleetRun {
+        self.validate().expect("valid sharded fleet");
+        assert!(rep < self.config.replications, "replication out of range");
+        let plan = self.plan();
+        let rep_seed = derive_seed(derive_seed(self.config.seed, 0), rep as u64);
+        ShardWorkers::build(&&plan, rep_seed).run()
     }
 
-    /// Drives one replication on prepared workers and merges the shard
-    /// runs into one community-level [`FleetRun`].
-    fn run_rep(&self, plan: &ShardPlan, workers: &mut ShardWorkers) -> FleetRun {
-        if self.shards == 1 {
+    /// Evaluates every replication in one parallel pass and aggregates
+    /// them into a cell outcome.
+    ///
+    /// The community is one cell of [`replicate`] seeded
+    /// `derive_seed(master, 0)`, the layout [`crate::run_cell`]'s
+    /// single-cell sweep uses, so a 1-shard `ShardedFleet` reproduces
+    /// `run_cell` bit-for-bit.
+    pub fn run(&self) -> FleetCellOutcome {
+        self.validate().expect("valid sharded fleet");
+        let plan = self.plan();
+        let runs = replicate::<_, ShardWorkers>(&[&plan], self.config.replications, |_| {
+            derive_seed(self.config.seed, 0)
+        });
+        FleetCellOutcome::aggregate(
+            self.mix.name.clone(),
+            self.users,
+            self.scenario.name.clone(),
+            &runs,
+        )
+    }
+}
+
+impl<'a> Worker<&'a ShardPlan<'a>> for ShardWorkers<'a> {
+    type Output = FleetRun;
+
+    fn build(plan: &&'a ShardPlan<'a>, rep_seed: u64) -> Self {
+        let shards = plan
+            .cells
+            .iter()
+            .enumerate()
+            .map(|(k, cell)| FleetWorker::build(cell, shard_seed(rep_seed, k)))
+            .collect();
+        ShardWorkers { plan, shards }
+    }
+
+    fn rewind(&mut self, rep_seed: u64) {
+        for (k, w) in self.shards.iter_mut().enumerate() {
+            w.rewind(shard_seed(rep_seed, k));
+        }
+    }
+
+    /// Drives one replication and merges the shard runs into one
+    /// community-level [`FleetRun`].
+    fn run(&mut self) -> FleetRun {
+        let (plan, workers) = (self.plan, &mut self.shards);
+        let fleet = plan.fleet;
+        if workers.len() == 1 {
             // the sweep's own code path: S = 1 is bit-identical to the
             // plain FleetController by construction
             return workers[0].run();
@@ -278,12 +329,12 @@ impl ShardedFleet {
         for w in workers.iter_mut() {
             w.sim.start_controller(&mut w.fleet);
         }
-        let exec = self.config.task_exec_s;
-        let mut prev_started = vec![0u64; self.shards];
-        let mut busy = vec![0.0f64; self.shards];
+        let exec = fleet.config.task_exec_s;
+        let mut prev_started = vec![0u64; workers.len()];
+        let mut busy = vec![0.0f64; workers.len()];
         let mut t_end = 0.0f64;
         while workers.iter().any(|w| !w.fleet.done()) && t_end < plan.horizon_s {
-            t_end += self.epoch_s;
+            t_end += fleet.epoch_s;
             let until = SimTime::from_secs(t_end);
             for (k, w) in workers.iter_mut().enumerate() {
                 if !w.fleet.done() {
@@ -294,11 +345,11 @@ impl ShardedFleet {
                 let stats = w.sim.stats();
                 let started = stats.client_started + stats.background_started;
                 busy[k] = ((started - prev_started[k]) as f64 * exec
-                    / (plan.slots[k] as f64 * self.epoch_s))
+                    / (plan.slots[k] as f64 * fleet.epoch_s))
                     .min(1.0);
                 prev_started[k] = started;
             }
-            if self.coupling > 0.0 && exec > 0.0 {
+            if fleet.coupling > 0.0 && exec > 0.0 {
                 for (k, w) in workers.iter_mut().enumerate() {
                     if w.fleet.done() {
                         continue;
@@ -316,11 +367,11 @@ impl ShardedFleet {
                     }
                     let foreign = num / den;
                     let inject_slot_s =
-                        self.coupling * foreign * plan.slots[k] as f64 * self.epoch_s;
+                        fleet.coupling * foreign * plan.slots[k] as f64 * fleet.epoch_s;
                     let n = (inject_slot_s / exec).floor() as usize;
                     for i in 0..n {
                         // spread evenly over the next epoch
-                        let at = t_end + (i as f64 + 0.5) * self.epoch_s / n as f64;
+                        let at = t_end + (i as f64 + 0.5) * fleet.epoch_s / n as f64;
                         w.sim.inject_background(
                             SimTime::from_secs(at),
                             SimDuration::from_secs(exec),
@@ -331,56 +382,7 @@ impl ShardedFleet {
         }
         merge_shard_runs(
             workers.iter().map(|w| w.fleet.collect(&w.sim)),
-            self.config.tasks_per_user,
-        )
-    }
-
-    /// Runs one replication from scratch (no worker reuse) — the
-    /// deterministic single-run entry point tests and examples use.
-    pub fn run_replication(&self, rep: usize) -> FleetRun {
-        self.validate().expect("valid sharded fleet");
-        assert!(rep < self.config.replications, "replication out of range");
-        let plan = self.plan();
-        let rep_seed = derive_seed(derive_seed(self.config.seed, 0), rep as u64);
-        let mut workers = self.build_workers(&plan, rep_seed);
-        self.run_rep(&plan, &mut workers)
-    }
-
-    /// Evaluates every replication in one parallel pass (per-worker
-    /// engine/fleet reuse, bit-identical for any thread count) and
-    /// aggregates them into a cell outcome.
-    ///
-    /// Seed layout mirrors [`crate::run_cell`]'s single-cell sweep
-    /// (`rep_seed = derive_seed(derive_seed(master, 0), rep)`), so a
-    /// 1-shard `ShardedFleet` reproduces `run_cell` bit-for-bit.
-    pub fn run(&self) -> FleetCellOutcome {
-        self.validate().expect("valid sharded fleet");
-        let plan = self.plan();
-        let plan_ref = &plan;
-        let cell_seed = derive_seed(self.config.seed, 0);
-        let runs: Vec<FleetRun> = (0..self.config.replications)
-            .into_par_iter()
-            .map_init(
-                || None::<ShardWorkers>,
-                move |slot, rep| {
-                    let rep_seed = derive_seed(cell_seed, rep as u64);
-                    match slot {
-                        Some(workers) => {
-                            for (k, w) in workers.iter_mut().enumerate() {
-                                w.rewind(shard_seed(rep_seed, k));
-                            }
-                        }
-                        None => *slot = Some(self.build_workers(plan_ref, rep_seed)),
-                    }
-                    self.run_rep(plan_ref, slot.as_mut().expect("workers just installed"))
-                },
-            )
-            .collect();
-        FleetCellOutcome::aggregate(
-            self.mix.name.clone(),
-            self.users,
-            self.scenario.name.clone(),
-            &runs,
+            fleet.config.tasks_per_user,
         )
     }
 }
@@ -451,7 +453,7 @@ mod tests {
         let sharded = ShardedFleet::new(cfg, mix, 10, 3, GridScenario::baseline());
         let plan = sharded.plan();
         assert_eq!(plan.slots, vec![12, 9, 9], "slots follow user counts");
-        let users: Vec<usize> = plan.assignments.iter().map(Vec::len).collect();
+        let users: Vec<usize> = plan.cells.iter().map(|c| c.assignments.len()).collect();
         assert_eq!(users, vec![4, 3, 3]);
     }
 

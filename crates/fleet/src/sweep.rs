@@ -1,22 +1,18 @@
 //! Batched evaluation of a (strategy-mix × community-size × grid-scenario)
 //! grid of community experiments in one parallel pass.
 //!
-//! The layout mirrors `gridstrat_core::executor::ScenarioSweep`: the flat
-//! (cell × replication) index space is distributed over the rayon pool as
-//! a whole, each worker keeps one engine + fleet controller alive and
-//! rewinds them in place between replications (rebuilding only when its
-//! chunk crosses into a different cell), and every replication derives its
-//! own RNG streams from `(master, cell, rep)` — so the entire sweep is
-//! **bit-identical for any thread count**.
+//! Cells run through [`gridstrat_core::executor::replicate`], which owns
+//! the seed layout, per-worker engine + fleet reuse and index-order
+//! aggregation, so the entire sweep is **bit-identical for any thread
+//! count**.
 
 use crate::agent::Assignment;
 use crate::controller::FleetController;
 use crate::metrics::{FleetCellOutcome, FleetRun};
 use crate::mix::{FleetConfig, StrategyMix};
-use gridstrat_core::executor::GridScenario;
+use gridstrat_core::executor::{replicate, GridScenario, Worker};
 use gridstrat_sim::{GridConfig, GridSimulation};
 use gridstrat_stats::rng::derive_seed;
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Stream index separating the fleet's agent RNGs from the engine RNG
@@ -24,6 +20,14 @@ use std::sync::Arc;
 /// `fleet_seed = derive_seed(rep_seed, FLEET_STREAM)`. Pinned by
 /// golden-vector tests alongside [`crate::agent::user_stream_seed`].
 pub const FLEET_STREAM: u64 = 0xF1EE7;
+
+/// One community configuration: a farm, its population and the shared
+/// workload shape.
+pub(crate) struct FleetCell<'a> {
+    pub(crate) grid: Arc<GridConfig>,
+    pub(crate) assignments: Vec<Assignment>,
+    pub(crate) config: &'a FleetConfig,
+}
 
 /// One engine and the fleet controller that drives it, seeded from one
 /// engine seed (`fleet_seed = derive_seed(engine_seed, FLEET_STREAM)`)
@@ -34,18 +38,16 @@ pub(crate) struct FleetWorker {
     pub(crate) fleet: FleetController,
 }
 
-impl FleetWorker {
-    pub(crate) fn build(
-        grid: &Arc<GridConfig>,
-        assignments: &[Assignment],
-        cfg: &FleetConfig,
-        engine_seed: u64,
-    ) -> Self {
+impl Worker<FleetCell<'_>> for FleetWorker {
+    type Output = FleetRun;
+
+    fn build(cell: &FleetCell<'_>, engine_seed: u64) -> Self {
+        let cfg = cell.config;
         FleetWorker {
-            sim: GridSimulation::new(Arc::clone(grid), engine_seed)
+            sim: GridSimulation::new(Arc::clone(&cell.grid), engine_seed)
                 .expect("fleet grids are validated by FleetConfig"),
             fleet: FleetController::new(
-                assignments,
+                &cell.assignments,
                 cfg.tasks_per_user,
                 cfg.task_exec_s,
                 cfg.arrival,
@@ -55,24 +57,15 @@ impl FleetWorker {
         }
     }
 
-    pub(crate) fn rewind(&mut self, engine_seed: u64) {
+    fn rewind(&mut self, engine_seed: u64) {
         self.sim.reset(engine_seed);
         self.fleet.reset(derive_seed(engine_seed, FLEET_STREAM));
     }
 
-    pub(crate) fn run(&mut self) -> FleetRun {
+    fn run(&mut self) -> FleetRun {
         self.sim.run_controller(&mut self.fleet);
         self.fleet.collect(&self.sim)
     }
-}
-
-struct CellPlan {
-    mix: usize,
-    users: usize,
-    scenario: usize,
-    grid: Arc<GridConfig>,
-    assignments: Vec<Assignment>,
-    seed: u64,
 }
 
 /// A (mix × community-size × scenario) grid of community experiments.
@@ -139,56 +132,31 @@ impl FleetSweep {
     /// count.
     pub fn run(&self) -> Vec<FleetCellOutcome> {
         let reps = self.config.replications;
-        let mut plans = Vec::with_capacity(self.n_cells());
-        for (m, mix) in self.mixes.iter().enumerate() {
+        let mut cells = Vec::with_capacity(self.n_cells());
+        let mut labels = Vec::with_capacity(self.n_cells());
+        for mix in &self.mixes {
             for &users in &self.community_sizes {
-                for (s, scenario) in self.scenarios.iter().enumerate() {
-                    let cell = plans.len() as u64;
-                    plans.push(CellPlan {
-                        mix: m,
-                        users,
-                        scenario: s,
+                for scenario in &self.scenarios {
+                    cells.push(FleetCell {
                         grid: Arc::new(scenario.apply_grid(&self.config.grid)),
                         assignments: mix.assignments(users),
-                        seed: derive_seed(self.config.seed, cell),
+                        config: &self.config,
                     });
+                    labels.push((&mix.name, users, &scenario.name));
                 }
             }
         }
 
-        let total = plans.len() * reps;
-        let plans_ref = &plans;
-        let cfg = &self.config;
-        let runs: Vec<FleetRun> = (0..total)
-            .into_par_iter()
-            .map_init(
-                || None::<(usize, FleetWorker)>,
-                move |slot, k| {
-                    let cell = k / reps;
-                    let plan = &plans_ref[cell];
-                    let rep_seed = derive_seed(plan.seed, (k % reps) as u64);
-                    match slot {
-                        Some((c, worker)) if *c == cell => worker.rewind(rep_seed),
-                        _ => {
-                            let worker =
-                                FleetWorker::build(&plan.grid, &plan.assignments, cfg, rep_seed);
-                            *slot = Some((cell, worker));
-                        }
-                    }
-                    let (_, worker) = slot.as_mut().expect("worker just installed");
-                    worker.run()
-                },
-            )
-            .collect();
-
-        plans
-            .iter()
+        let runs =
+            replicate::<_, FleetWorker>(&cells, reps, |c| derive_seed(self.config.seed, c as u64));
+        labels
+            .into_iter()
             .enumerate()
-            .map(|(c, plan)| {
+            .map(|(c, (mix, users, scenario))| {
                 FleetCellOutcome::aggregate(
-                    self.mixes[plan.mix].name.clone(),
-                    plan.users,
-                    self.scenarios[plan.scenario].name.clone(),
+                    mix.clone(),
+                    users,
+                    scenario.clone(),
                     &runs[c * reps..(c + 1) * reps],
                 )
             })

@@ -80,7 +80,8 @@ fn main() {
             trials: TASKS,
             seed: 0xB10,
         },
-    );
+    )
+    .expect("valid validation sweep");
     for ((name, _), cell) in specs.iter().zip(sweep.run()) {
         let est = cell.estimate;
         // `max J` across tasks is the batch's makespan bottleneck when all

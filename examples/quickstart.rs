@@ -86,7 +86,8 @@ fn main() {
             trials: 2_000,
             seed: 0xE6EE,
         },
-    );
+    )
+    .expect("valid validation sweep");
     println!(
         "\nMonte-Carlo validation ({} trials per strategy):",
         sweep.config.trials
